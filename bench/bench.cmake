@@ -37,11 +37,15 @@ set_tests_properties(bench_metrics_out_unwritable_fails PROPERTIES
 # drift (schema/metric/config changes, determinism violations) hard-fails;
 # throughput deltas only warn (shared runners are too noisy for a hard perf
 # gate — run compare_bench.py --hard-perf by hand on quiet hardware).
+# RUN_SERIAL: the bench's producer/worker scaling self-gates compare thread
+# and process counts against the host's hardware threads, so they must not
+# share those threads with the rest of a parallel ctest run.
 add_test(NAME bench_runtime_perf_smoke
   COMMAND bench_runtime --bench-out ${CMAKE_BINARY_DIR}/BENCH_runtime.json)
 set_tests_properties(bench_runtime_perf_smoke PROPERTIES
   ENVIRONMENT "STREAMKC_BENCH_SCALE=small"
-  FIXTURES_SETUP bench_runtime_json LABELS "tier1" TIMEOUT 600)
+  FIXTURES_SETUP bench_runtime_json LABELS "tier1" TIMEOUT 600
+  RUN_SERIAL TRUE)
 find_package(Python3 COMPONENTS Interpreter)
 if(Python3_Interpreter_FOUND)
   add_test(NAME bench_runtime_compare

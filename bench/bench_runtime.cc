@@ -7,7 +7,11 @@
 // merged), and verifies the deterministic-merge contract on every row.
 // A second table scales the multi-producer front-end (P∈{1,2,4,8} × 8
 // shards through the ring lattice) and gates the 8-producer speedup
-// against a hardware-aware floor (producer_scaling_ok). A third table
+// against a hardware-aware floor (producer_scaling_ok). Its rows are
+// producer-bound by construction: each producer parses its own byte range
+// of a temporary text corpus (SegmentedTextStream), and the shard workers
+// fold a near-free edge checksum, so the gate measures producer
+// parallelism rather than shard throughput. A third table
 // scales the multi-PROCESS reduction tree (src/dist, W∈{1,2,4} forked
 // workers; 8 at full scale) over the same edges, requires the tree-merged
 // state to serialize bit-identical to the in-line batched pass, and gates
@@ -20,9 +24,12 @@
 // the determinism and stall columns are still meaningful there. Record
 // curves from multi-core hardware in EXPERIMENTS.md.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -34,6 +41,8 @@
 #include "runtime/sharded_pipeline.h"
 #include "runtime/sketch_states.h"
 #include "stream/edge_stream.h"
+#include "stream/text_stream.h"
+#include "util/check.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 
@@ -56,6 +65,36 @@ std::vector<Edge> SynthesizeEdges(size_t count, uint64_t seed) {
   return edges;
 }
 
+// Producer-table worker state: an order-independent edge checksum. Shard
+// workers then cost next to nothing, so producer parsing sets the pace,
+// and the sum is a multiset function — equal for every producer count.
+struct EdgeChecksumState {
+  uint64_t edges = 0;
+  uint64_t sum = 0;
+
+  void Process(const Edge& e) {
+    ++edges;
+    sum += SplitMix64(e.set ^ SplitMix64(e.element));
+  }
+  void Merge(const EdgeChecksumState& other) {
+    edges += other.edges;
+    sum += other.sum;
+  }
+};
+
+// Writes `edges` as a text corpus under TMPDIR; the caller removes it.
+std::string WriteTempCorpus(const std::vector<Edge>& edges) {
+  const char* base = std::getenv("TMPDIR");
+  std::string path = std::string(base != nullptr && *base != '\0' ? base
+                                                                  : "/tmp") +
+                     "/streamkc_bench_runtime_XXXXXX";
+  const int fd = ::mkstemp(path.data());
+  CHECK_GE(fd, 0);
+  ::close(fd);
+  WriteEdgesToFile(path, edges);
+  return path;
+}
+
 int Main(int argc, char** argv) {
   // Resolve (and writability-probe) the metrics sink up front: an
   // unwritable path must fail before the experiment runs, not after.
@@ -66,12 +105,14 @@ int Main(int argc, char** argv) {
   bench::BenchReport report("runtime", bench::SmallScale() ? "small" : "full");
   report.SetConfig("num_edges", static_cast<double>(num_edges));
   report.SetConfig("batch_size", kBatchSize);
+  const uint32_t hc = std::thread::hardware_concurrency();
+  report.SetConfig("hardware_threads", hc);
   bench::Banner(
       "Runtime thread scaling: sharded ingestion + mergeable-sketch reduction",
       "mergeable sketches admit embarrassingly parallel ingestion; the "
       "merged state is deterministic and equals the 1-thread state");
   std::printf("edges: %zu, hardware threads: %u\n\n", num_edges,
-              std::thread::hardware_concurrency());
+              hc);
 
   std::vector<Edge> edges = SynthesizeEdges(num_edges, 7);
   CoverageSketchState::Config cfg;
@@ -160,13 +201,16 @@ int Main(int argc, char** argv) {
       "shards until the fold collapses it back to one sketch.\n");
 
   // Producer scaling: the multi-producer front-end at a fixed 8 shards.
-  // The single-producer rows above are parse/route-bound on one thread;
-  // this table splits the stream into P even spans (EdgeSpanStream, the
-  // in-memory analogue of SegmentedTextStream) and feeds them through the
-  // P×8 ring lattice. Determinism must hold on every row — the merged
-  // estimates are multiset functions, independent of P.
+  // Each of the P producers parses its own byte range of the same text
+  // corpus (SegmentedTextStream) and routes through the P×8 ring lattice;
+  // the workers fold EdgeChecksumState, so a row is as fast as its
+  // producers. Determinism must hold on every row — the checksum is a
+  // multiset function, independent of P.
   std::printf("\n");
-  Table ptable({"producers", "edges/s", "speedup", "stalls", "recycled",
+  const std::string corpus = WriteTempCorpus(edges);
+  EdgeChecksumState checksum_ref;
+  for (const Edge& e : edges) checksum_ref.Process(e);
+  Table ptable({"producers", "edges/s", "vs 1 producer", "stalls", "recycled",
                 "deterministic"});
   double producers_1_eps = 0;
   double producers_8_eps = 0;
@@ -175,28 +219,31 @@ int Main(int argc, char** argv) {
     opts.num_shards = 8;
     opts.num_producers = producers;
     opts.batch_size = kBatchSize;
-    ShardedPipeline<CoverageSketchState> pipe(
-        opts, [&](uint32_t) { return CoverageSketchState(cfg); });
-    CoverageSketchState merged = pipe.RunSegmented(
-        [&](uint32_t p) { return MakeEdgeSpanSegment(edges, p, producers); });
+    ShardedPipeline<EdgeChecksumState> pipe(
+        opts, [](uint32_t) { return EdgeChecksumState(); });
+    SegmentedTextStream segments(corpus, producers);
+    EdgeChecksumState merged = pipe.RunSegmented(
+        [&](uint32_t p) { return segments.OpenSegment(p); });
     const RuntimeMetrics& m = pipe.metrics();
     double eps = m.EdgesPerSecond();
-    bool deterministic = merged.covered_l0.Estimate() == ref_l0 &&
-                         merged.covered_hll.Estimate() == ref_hll;
+    if (producers == 1) producers_1_eps = eps;
+    if (producers == 8) producers_8_eps = eps;
+    bool deterministic = merged.edges == checksum_ref.edges &&
+                         merged.sum == checksum_ref.sum;
     ptable.AddRow(
         {Fmt("%ux8", producers), Fmt("%.2fM", eps / 1e6),
-         Fmt("%.2fx", eps / base_eps),
+         Fmt("%.2fx", eps / producers_1_eps),
          Fmt("%llu", (unsigned long long)m.queue_full_stalls.load()),
          Fmt("%llu", (unsigned long long)m.TotalBatchesRecycled()),
          deterministic ? "yes" : "NO"});
     report.SetMetric(Fmt("producers_%u_eps", producers), eps);
-    if (producers == 1) producers_1_eps = eps;
-    if (producers == 8) producers_8_eps = eps;
     if (!deterministic) {
       std::printf("DETERMINISM VIOLATION at %u producers\n", producers);
+      std::remove(corpus.c_str());
       return 1;
     }
   }
+  std::remove(corpus.c_str());
   ptable.Print();
 
   // Hardware-aware scaling gate. The ROADMAP target (≥6×, acceptance ≥4×)
@@ -204,7 +251,6 @@ int Main(int argc, char** argv) {
   // configuration time-slices the same cores, so the floor degrades to a
   // sanity check that the lattice at least doesn't collapse throughput.
   // compare_bench.py hard-fails any committed *_ok metric that is not 1.
-  const uint32_t hc = std::thread::hardware_concurrency();
   const double scaling_floor = hc >= 8 ? 4.0 : hc >= 4 ? 2.0 : hc >= 2 ? 1.0
                                                                        : 0.4;
   const double producer_scaling =

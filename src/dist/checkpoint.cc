@@ -1,25 +1,23 @@
 #include "dist/checkpoint.h"
 
-#include <errno.h>
 #include <fcntl.h>
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "dist/frame.h"
 #include "util/check.h"
+#include "util/envelope.h"
 #include "util/serialize.h"
 
 namespace streamkc {
 namespace {
 
 constexpr uint32_t kCkptMagic = 0x534b4331;  // "SKC1"
-constexpr uint32_t kCkptVersion = 1;
-// u32 magic + u32 version + u64 body_len + u32 crc.
-constexpr size_t kCkptHeaderBytes = 4 + 4 + 8 + 4;
+// Version 2: the CRC covers body_len too, so version 1 blobs are rejected.
+constexpr uint32_t kCkptVersion = 2;
 // Fixed-width body prefix: u32 worker + u64 segments_done + counters +
 // u64 fingerprint + u64 state_len. Everything past it is the state blob.
 constexpr uint64_t kCkptFixedBodyBytes =
@@ -45,46 +43,27 @@ std::string EncodeCheckpoint(const Checkpoint& ckpt) {
   WriteU64(body, ckpt.state_blob.size());
   body.write(ckpt.state_blob.data(),
              static_cast<std::streamsize>(ckpt.state_blob.size()));
-  const std::string body_bytes = body.str();
-
-  std::ostringstream os;
-  WriteHeader(os, kCkptMagic, kCkptVersion);
-  WriteU64(os, body_bytes.size());
-  WriteU32(os, Crc32(body_bytes.data(), body_bytes.size()));
-  os.write(body_bytes.data(),
-           static_cast<std::streamsize>(body_bytes.size()));
-  return os.str();
+  return EncodeEnvelope(kCkptMagic, kCkptVersion, body.str());
 }
 
 bool TryDecodeCheckpoint(const std::string& bytes, Checkpoint* out,
                          std::string* error) {
-  if (bytes.size() < kCkptHeaderBytes) {
-    return Fail(error, "truncated header");
+  const EnvelopeParse env = ParseEnvelope(bytes, kCkptMagic, kCkptVersion);
+  if (env.status == EnvelopeParse::Status::kNeedMore) {
+    return Fail(error, "truncated");
   }
-  uint32_t magic = 0, version = 0, crc = 0;
-  uint64_t body_len = 0;
-  std::memcpy(&magic, bytes.data(), 4);
-  std::memcpy(&version, bytes.data() + 4, 4);
-  std::memcpy(&body_len, bytes.data() + 8, 8);
-  std::memcpy(&crc, bytes.data() + 16, 4);
-  if (magic != kCkptMagic) return Fail(error, "bad magic");
-  if (version != kCkptVersion) return Fail(error, "unsupported version");
-  if (body_len > kMaxFramePayload) return Fail(error, "body length insane");
-  // The whole blob is exactly header + body: a short read is truncation and
-  // trailing slack is corruption too (a concatenated or overwritten file
-  // must not load).
-  if (bytes.size() != kCkptHeaderBytes + body_len) {
-    return Fail(error, "truncated body or trailing garbage");
+  if (env.status == EnvelopeParse::Status::kCorrupt) {
+    return Fail(error, env.error);
   }
-  const char* body = bytes.data() + kCkptHeaderBytes;
-  if (Crc32(body, static_cast<size_t>(body_len)) != crc) {
-    return Fail(error, "crc mismatch");
-  }
+  // A checkpoint file is exactly one envelope: trailing slack is corruption
+  // (a concatenated or overwritten file must not load).
+  if (env.size != bytes.size()) return Fail(error, "trailing garbage");
+  const uint64_t body_len = env.body.size();
   if (body_len < kCkptFixedBodyBytes) return Fail(error, "body too short");
 
   // Lengths are fully validated, so the CHECK-hard stream readers below
   // cannot fire: the stream always has the bytes they ask for.
-  std::istringstream bs(std::string(body, static_cast<size_t>(body_len)));
+  std::istringstream bs{std::string(env.body)};
   Checkpoint ckpt;
   ckpt.worker = ReadU32(bs);
   ckpt.segments_done = ReadU64(bs);
@@ -113,18 +92,9 @@ Checkpoint DecodeCheckpoint(const std::string& bytes) {
 
 void WriteCheckpointFile(const std::string& path, const Checkpoint& ckpt) {
   const std::string tmp = path + ".tmp";
-  const std::string bytes = EncodeCheckpoint(ckpt);
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   CHECK_GE(fd, 0);
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      CHECK_EQ(errno, EINTR);
-      continue;
-    }
-    off += static_cast<size_t>(n);
-  }
+  CHECK(WriteAllToFd(fd, EncodeCheckpoint(ckpt)));
   // fsync the data BEFORE the rename and the directory AFTER it: the
   // rename is only atomic against this process crashing. Against a host
   // crash, the filesystem may persist the rename ahead of the data blocks

@@ -10,18 +10,10 @@
 // re-ingested from scratch; the dead incarnation's uncommitted work died
 // with its address space).
 //
-// Layout (little-endian, util/serialize.h helpers):
-//
-//   u32 magic    'SKC1'
-//   u32 version  1
-//   u64 body_len
-//   u32 crc      CRC-32 over the body bytes
-//   body:
-//     u32 worker
-//     u64 segments_done
-//     WorkerCounters
-//     u64 fingerprint   State::MergeFingerprint() at save time
-//     u64 state_len + state blob (the State's own Save format)
+// Layout: one util/envelope.h envelope (magic 'SKC1', version 2) whose
+// body is u32 worker, u64 segments_done, the WorkerCounters, u64
+// fingerprint (State::MergeFingerprint() at save time), then u64 state_len
+// and the State's own Save blob.
 //
 // Durability: the blob lands in `<path>.tmp`, is fsync(2)ed, rename(2)d
 // over `path`, and the directory is fsync(2)ed after the rename. The
@@ -30,13 +22,10 @@
 // filesystem may persist the rename before the data blocks, and the
 // machine comes back up with a zero-length or torn file at the final path.
 //
-// Corruption policy: the Try* loaders reject a bad blob (returning false
-// with a reason) instead of aborting, because the dist respawn path must
-// survive a torn checkpoint — the respawned worker discards it and
-// re-ingests from scratch. DecodeCheckpoint/LoadCheckpointFile keep the
-// CHECK-hard contract for callers where a bad blob is unambiguously a bug;
-// the death-test battery in tests/dist_checkpoint_test.cc pins truncation,
-// bit flips, and version bumps to a clean abort there.
+// Corruption policy: the Try* loaders reject a bad blob with a reason, so
+// the respawn path survives a torn checkpoint by re-ingesting from
+// scratch; DecodeCheckpoint/LoadCheckpointFile CHECK-fail instead, for
+// callers where a bad blob is unambiguously a bug.
 
 #ifndef STREAMKC_DIST_CHECKPOINT_H_
 #define STREAMKC_DIST_CHECKPOINT_H_

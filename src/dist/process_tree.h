@@ -65,9 +65,7 @@
 //   fingerprint minority -> quarantine after the majority vote
 //   corrupt checkpoint -> the respawned worker REJECTS the blob, counts
 //                     checkpoints_rejected, and re-ingests its block from
-//                     scratch — it still converges (the pre-fix CHECK-abort
-//                     turned one torn file into a respawn loop that
-//                     quarantined the worker forever)
+//                     scratch, so one torn file cannot cause a respawn loop
 //
 // Requirements on State: Process/ProcessBatch, Merge, MergeFingerprint,
 // Save(ostream&), static Load(istream&) — the serialize.h sketch contract.
@@ -80,8 +78,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -89,7 +85,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dist/checkpoint.h"
@@ -99,8 +94,8 @@
 #include "dist/transport.h"
 #include "dist/worker_counters.h"
 #include "fault/fault_injector.h"
+#include "runtime/degradation.h"
 #include "runtime/edge_batch.h"
-#include "runtime/sharded_pipeline.h"
 #include "stream/edge_stream.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
@@ -118,13 +113,9 @@ struct DistOptions {
   std::string checkpoint_dir;
   // Respawn budget per worker before it is quarantined out of the merge.
   uint32_t max_respawns = 2;
-  // Strict mode: any quarantine exits(1) after the reduction — the dist
-  // analogue of DegradationPolicy::strict (a successful respawn is
-  // recovery, not degradation, and does not trip strict mode).
-  bool strict = false;
-  // Bounded retry/backoff for transient stream errors inside workers, and
-  // for transient transport failures (refused/dropped TCP connections)
-  // when shipping the final frame.
+  // Retry/backoff for transient stream errors inside workers and for
+  // transient transport failures when shipping the final frame; strict
+  // exits(1) if any worker is quarantined.
   DegradationPolicy degradation;
   // How worker frames travel to the coordinator (pipe or tcp + addresses).
   TransportConfig transport;
@@ -216,37 +207,21 @@ class ProcessReductionTree {
     // pipeline's corruption detection, applied across process boundaries).
     // corrupt-merge faults flip the reported value before the vote, so the
     // vote — not a cross-check against the payload — must catch them.
-    std::vector<uint32_t> voters;
+    std::vector<uint64_t> fingerprints(options_.num_workers);
+    std::vector<uint8_t> voting(options_.num_workers);
     for (uint32_t w = 0; w < options_.num_workers; ++w) {
-      if (slots[w].state == Slot::kDone) voters.push_back(w);
+      fingerprints[w] = slots[w].frame.fingerprint;
+      voting[w] = slots[w].state == Slot::kDone;
     }
-    if (!voters.empty()) {
-      uint64_t majority = 0;
-      size_t best = 0;
-      for (uint32_t v : voters) {
-        size_t count = 0;
-        for (uint32_t u : voters) {
-          if (slots[u].frame.fingerprint == slots[v].frame.fingerprint) {
-            ++count;
-          }
-        }
-        if (count > best) {
-          best = count;
-          majority = slots[v].frame.fingerprint;
-        }
-      }
-      for (uint32_t v : voters) {
-        if (slots[v].frame.fingerprint != majority) {
-          std::fprintf(stderr,
-                       "dist: worker %u merge fingerprint %016llx "
-                       "disagrees with majority %016llx; quarantined\n",
-                       v,
-                       (unsigned long long)slots[v].frame.fingerprint,
-                       (unsigned long long)majority);
-          metrics_.workers[v].fingerprint_corrupted = true;
-          Quarantine(v, &slots[v]);
-        }
-      }
+    const FingerprintVote vote = VoteFingerprints(fingerprints, voting);
+    for (uint32_t v : vote.minority) {
+      std::fprintf(stderr,
+                   "dist: worker %u merge fingerprint %016llx "
+                   "disagrees with majority %016llx; quarantined\n",
+                   v, (unsigned long long)fingerprints[v],
+                   (unsigned long long)vote.majority);
+      metrics_.workers[v].fingerprint_corrupted = true;
+      Quarantine(v, &slots[v]);
     }
 
     // Deserialize survivors: counters block first, then the state blob.
@@ -259,20 +234,13 @@ class ProcessReductionTree {
       ++metrics_.frames_received;
     }
 
+    // Strict mode: a successful respawn is recovery, not degradation; only
+    // a quarantine trips it.
+    ExitIfQuarantineFatal(options_.degradation, metrics_.WorkersQuarantined(),
+                          options_.num_workers, "workers");
     const size_t root =
         TreeMerge(&states, options_.merge_arity, &metrics_.tree);
     metrics_.wall_ns = static_cast<uint64_t>(wall.ElapsedSeconds() * 1e9);
-    if (root == SIZE_MAX) {
-      std::fprintf(stderr,
-                   "dist: every worker quarantined; no state to merge\n");
-      std::exit(1);
-    }
-    if (options_.strict && metrics_.WorkersQuarantined() > 0) {
-      std::fprintf(stderr,
-                   "dist: strict mode: %u workers quarantined\n",
-                   metrics_.WorkersQuarantined());
-      std::exit(1);
-    }
     return std::move(*states[root]);
   }
 
@@ -438,6 +406,14 @@ class ProcessReductionTree {
   void ResolveExited(uint32_t w, Slot* s, uint32_t num_segments,
                      const SegmentOpener& open, const FaultInjector* inj,
                      std::vector<Slot>* slots) {
+    const int status = Reap(s);
+    std::string err;
+    FrameDecoder::Status ds = DecodeFinalFrame(w, s, inj, &err);
+    ClassifyOutcome(w, s, status, ds, err, num_segments, open, inj, slots);
+  }
+
+  // Blocking waitpid on the slot's worker; returns its wait status.
+  static int Reap(Slot* s) {
     int status = 0;
     pid_t r;
     do {
@@ -445,19 +421,22 @@ class ProcessReductionTree {
     } while (r < 0 && errno == EINTR);
     CHECK_EQ(r, s->pid);
     s->pid = -1;
+    return status;
+  }
 
-    // corrupt-frame transport fault: flip one bit of the received bytes
-    // before decoding (deterministic per worker; a transport this broken
-    // corrupts every retry too, so the failure goes straight to
-    // quarantine via the CRC below).
-    std::string err;
+  // Decodes the frame buffered for worker `w`. The corrupt-frame transport
+  // fault flips one bit of the received bytes first (deterministic per
+  // worker; a transport this broken corrupts every retry too, so the
+  // failure goes straight to quarantine via the CRC).
+  static FrameDecoder::Status DecodeFinalFrame(uint32_t w, Slot* s,
+                                               const FaultInjector* inj,
+                                               std::string* err) {
     if (inj != nullptr && inj->CorruptsFrame(w) &&
         s->decoder.buffered_bytes() > 0) {
       s->decoder.CorruptForTest();
       inj->Count(FaultInjector::kFaultFrameCorruption);
     }
-    FrameDecoder::Status ds = s->decoder.Next(&s->frame, &err);
-    ClassifyOutcome(w, s, status, ds, err, num_segments, open, inj, slots);
+    return s->decoder.Next(&s->frame, err);
   }
 
   // TCP connection EOF: decode what landed, fin-ack a complete frame (the
@@ -467,12 +446,7 @@ class ProcessReductionTree {
                             const FaultInjector* inj,
                             std::vector<Slot>* slots) {
     std::string err;
-    if (inj != nullptr && inj->CorruptsFrame(w) &&
-        s->decoder.buffered_bytes() > 0) {
-      s->decoder.CorruptForTest();
-      inj->Count(FaultInjector::kFaultFrameCorruption);
-    }
-    FrameDecoder::Status ds = s->decoder.Next(&s->frame, &err);
+    FrameDecoder::Status ds = DecodeFinalFrame(w, s, inj, &err);
     if (ds == FrameDecoder::Status::kNeedMore) {
       // Torn connection, no complete frame: the worker either died
       // mid-send (reap it right here) or will redial with a fresh
@@ -480,13 +454,7 @@ class ProcessReductionTree {
       transport_->FinishShipFd(s->fd, /*acked=*/false);
       s->fd = -1;
       s->decoder = FrameDecoder();
-      int status = 0;
-      pid_t r = ::waitpid(s->pid, &status, WNOHANG);
-      if (r == s->pid) {
-        s->pid = -1;
-        ClassifyOutcome(w, s, status, FrameDecoder::Status::kNeedMore, err,
-                        num_segments, open, inj, slots);
-      }
+      ClassifyIfExited(w, s, num_segments, open, inj, slots);
       return;
     }
     // Complete frame (valid or CRC-rejected — rejection is a verdict, not
@@ -494,13 +462,7 @@ class ProcessReductionTree {
     // exactly as the pipe path does.
     transport_->FinishShipFd(s->fd, /*acked=*/true);
     s->fd = -1;
-    int status = 0;
-    pid_t r;
-    do {
-      r = ::waitpid(s->pid, &status, 0);
-    } while (r < 0 && errno == EINTR);
-    CHECK_EQ(r, s->pid);
-    s->pid = -1;
+    const int status = Reap(s);
     ClassifyOutcome(w, s, status, ds, err, num_segments, open, inj, slots);
   }
 
@@ -513,15 +475,22 @@ class ProcessReductionTree {
     for (uint32_t w = 0; w < slots->size(); ++w) {
       Slot& s = (*slots)[w];
       if (s.state != Slot::kRunning || s.fd >= 0 || s.pid <= 0) continue;
-      int status = 0;
-      pid_t r = ::waitpid(s.pid, &status, WNOHANG);
-      if (r == 0) continue;  // alive: ingesting, dialing, or backing off
-      CHECK_EQ(r, s.pid);
-      s.pid = -1;
-      std::string err;
-      ClassifyOutcome(w, &s, status, FrameDecoder::Status::kNeedMore, err,
-                      num_segments, open, inj, slots);
+      ClassifyIfExited(w, &s, num_segments, open, inj, slots);
     }
+  }
+
+  // Reaps the slot's worker if it has exited (a live one is ingesting,
+  // dialing, or backing off) and classifies it as having shipped no frame.
+  void ClassifyIfExited(uint32_t w, Slot* s, uint32_t num_segments,
+                        const SegmentOpener& open, const FaultInjector* inj,
+                        std::vector<Slot>* slots) {
+    int status = 0;
+    const pid_t r = ::waitpid(s->pid, &status, WNOHANG);
+    if (r == 0) return;
+    CHECK_EQ(r, s->pid);
+    s->pid = -1;
+    ClassifyOutcome(w, s, status, FrameDecoder::Status::kNeedMore,
+                    std::string(), num_segments, open, inj, slots);
   }
 
   // Shared verdict for a reaped worker, given its exit status and what the
@@ -695,9 +664,7 @@ class ProcessReductionTree {
                      WorkerCounters* counters, EdgeBatch* batch,
                      bool killable, uint64_t* batches_seen) {
     const FaultInjector* inj = options_.fault_injector;
-    const DegradationPolicy& pol = options_.degradation;
-    uint32_t retries = 0;
-    uint64_t backoff = pol.initial_backoff_ns;
+    RetryBackoff backoff(options_.degradation);
     for (;;) {
       batch->Clear();
       Edge e;
@@ -705,8 +672,7 @@ class ProcessReductionTree {
       while (batch->size() < options_.batch_size) {
         if (stream->Next(&e)) {
           batch->edges.push_back(e);
-          retries = 0;
-          backoff = pol.initial_backoff_ns;
+          backoff.Reset();
           continue;
         }
         if (stream->ok()) {
@@ -718,17 +684,14 @@ class ProcessReductionTree {
                        stream->StatusMessage().c_str());
           return false;
         }
-        if (retries >= pol.max_stream_retries) {
+        if (!backoff.Retry()) {
           // Retry budget exhausted: truncate the segment (the in-flight
           // batch still commits) — the pipeline's degradation semantics.
           counters->truncated_segments += 1;
           at_end = true;
           break;
         }
-        ++retries;
         counters->stream_retries += 1;
-        std::this_thread::sleep_for(std::chrono::nanoseconds(backoff));
-        backoff = std::min(backoff * 2, pol.max_backoff_ns);
       }
       if (!batch->empty()) {
         if (killable && inj->WorkerDiesAt(w, *batches_seen)) {

@@ -11,11 +11,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <thread>
 #include <unordered_map>
 
 #include "dist/transport.h"
@@ -118,19 +115,6 @@ std::string AddrToString(const sockaddr_in& addr) {
   char host[INET_ADDRSTRLEN] = {0};
   ::inet_ntop(AF_INET, &addr.sin_addr, host, sizeof(host));
   return std::string(host) + ":" + std::to_string(ntohs(addr.sin_port));
-}
-
-bool SendAll(int fd, const char* data, size_t len) {
-  size_t off = 0;
-  while (off < len) {
-    ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
 }
 
 bool RecvAck(int fd) {
@@ -267,7 +251,7 @@ class TcpTransport : public Transport {
       const char ack = kTransportAck;
       // Best-effort: a worker that died mid-ship cannot read its fin-ack,
       // and the sweep will classify the death.
-      (void)SendAll(fd, &ack, 1);
+      (void)WriteAllToFd(fd, std::string_view(&ack, 1));
     }
     ::close(fd);
   }
@@ -279,15 +263,14 @@ class TcpTransport : public Transport {
                           make_frame) override {
     (void)ch;
     IgnoreSigPipe();
-    uint32_t retries = 0;
-    uint64_t backoff = policy.initial_backoff_ns;
+    RetryBackoff backoff(policy);
     for (;;) {
       int fd = DialAndHello(worker, generation);
       if (fd >= 0) {
         // Re-encode per attempt: connect_retries just changed, and the
         // shipped counters must describe the run that actually landed.
         const std::string bytes = EncodeFrame(make_frame(*counters));
-        bool ok = SendAll(fd, bytes.data(), bytes.size());
+        bool ok = WriteAllToFd(fd, bytes);
         if (ok) {
           ::shutdown(fd, SHUT_WR);  // frame done; coordinator sees EOF
           ok = RecvAck(fd);         // fin-ack: the frame was decoded
@@ -295,11 +278,8 @@ class TcpTransport : public Transport {
         ::close(fd);
         if (ok) return true;
       }
-      if (retries >= policy.max_stream_retries) return false;
-      ++retries;
+      if (!backoff.Retry()) return false;
       ++counters->connect_retries;
-      std::this_thread::sleep_for(std::chrono::nanoseconds(backoff));
-      backoff = std::min(backoff * 2, policy.max_backoff_ns);
     }
   }
 
@@ -359,7 +339,7 @@ class TcpTransport : public Transport {
       return true;
     }
     const char ack = kTransportAck;
-    if (!SendAll(p->fd, &ack, 1)) {
+    if (!WriteAllToFd(p->fd, std::string_view(&ack, 1))) {
       ::close(p->fd);
       return true;
     }
@@ -385,7 +365,8 @@ class TcpTransport : public Transport {
     } while (r != 0 && errno == EINTR);
     char hello[kHelloBytes];
     EncodeHello(worker, generation, hello);
-    if (r != 0 || !SendAll(fd, hello, kHelloBytes) || !RecvAck(fd)) {
+    if (r != 0 || !WriteAllToFd(fd, std::string_view(hello, kHelloBytes)) ||
+        !RecvAck(fd)) {
       ::close(fd);
       return -1;
     }

@@ -112,7 +112,9 @@ class PipeTransport : public Transport {
     // error (EPIPE) -> permanent failure, never a SIGPIPE death: a signal
     // death reads as a crash and burns respawns on a hopeless retry.
     IgnoreSigPipe();
-    if (!WriteFrameToFd(ch.child_fd, make_frame(*counters))) return false;
+    if (!WriteAllToFd(ch.child_fd, EncodeFrame(make_frame(*counters)))) {
+      return false;
+    }
     ::close(ch.child_fd);
     return true;
   }

@@ -36,10 +36,10 @@
 // always observes the drop at the same protocol point, redials, and the
 // run converges byte-identically to an undropped one.
 //
-// SIGPIPE discipline: workers ignore SIGPIPE (IgnoreSigPipe below) and
-// socket sends use MSG_NOSIGNAL, so a coordinator that died mid-ship
-// surfaces as EPIPE -> kWorkerPermanentErrorExit -> quarantine, never as a
-// signal death that would burn respawns on a hopeless retry.
+// SIGPIPE discipline: workers and the TCP coordinator ignore SIGPIPE
+// (IgnoreSigPipe below) before any write, so a coordinator that died
+// mid-ship surfaces as EPIPE -> kWorkerPermanentErrorExit -> quarantine,
+// never as a signal death that would burn respawns on a hopeless retry.
 
 #ifndef STREAMKC_DIST_TRANSPORT_H_
 #define STREAMKC_DIST_TRANSPORT_H_
@@ -54,7 +54,7 @@
 
 #include "dist/frame.h"
 #include "dist/worker_counters.h"
-#include "runtime/sharded_pipeline.h"
+#include "runtime/degradation.h"
 
 namespace streamkc {
 

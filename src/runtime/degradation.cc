@@ -1,0 +1,72 @@
+#include "runtime/degradation.h"
+
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <thread>
+
+#include "obs/metrics.h"
+#include "util/check.h"
+
+namespace streamkc {
+
+RetryBackoff::RetryBackoff(const DegradationPolicy& policy,
+                           Histogram* histogram)
+    : first_ns_(std::min(policy.initial_backoff_ns, policy.max_backoff_ns)),
+      max_ns_(policy.max_backoff_ns),
+      max_retries_(policy.max_stream_retries),
+      histogram_(histogram),
+      next_ns_(first_ns_) {}
+
+bool RetryBackoff::Retry() {
+  if (retries_ >= max_retries_) return false;
+  ++retries_;
+  if (histogram_ != nullptr) histogram_->Observe(next_ns_);
+  std::this_thread::sleep_for(std::chrono::nanoseconds(next_ns_));
+  next_ns_ = next_ns_ >= max_ns_ / 2 ? max_ns_ : next_ns_ * 2;
+  return true;
+}
+
+FingerprintVote VoteFingerprints(const std::vector<uint64_t>& fingerprints,
+                                 const std::vector<uint8_t>& voting) {
+  CHECK_EQ(fingerprints.size(), voting.size());
+  const size_t n = fingerprints.size();
+  FingerprintVote vote;
+  size_t best = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (!voting[i]) continue;
+    size_t count = 0;
+    for (size_t j = 0; j < n; ++j) {
+      count += voting[j] && fingerprints[j] == fingerprints[i];
+    }
+    if (count > best) {
+      best = count;
+      vote.majority = fingerprints[i];
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (voting[i] && fingerprints[i] != vote.majority) {
+      vote.minority.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  return vote;
+}
+
+void ExitIfQuarantineFatal(const DegradationPolicy& policy,
+                           uint32_t quarantined, uint32_t total,
+                           const char* unit) {
+  if (quarantined > 0 && policy.strict) {
+    std::fprintf(stderr, "[streamkc] strict: %u/%u %s quarantined\n",
+                 quarantined, total, unit);
+    std::exit(1);
+  }
+  if (quarantined == total) {
+    // No healthy replica survives; a fabricated answer would be worse than
+    // none, strict mode or not.
+    std::fprintf(stderr, "[streamkc] all %u %s quarantined\n", total, unit);
+    std::exit(1);
+  }
+}
+
+}  // namespace streamkc

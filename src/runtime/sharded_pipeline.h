@@ -51,23 +51,14 @@
 // EdgeBatch, so the steady-state flush path performs zero allocations
 // (metrics.batches_recycled tracks the recycle hit rate).
 //
-// Degradation policy: a production pipeline must degrade predictably, not
-// assume a clean world. Three failure classes are handled (and injectable
-// via src/fault for testing):
-//   * transient stream errors — retried per producer with bounded,
-//     SATURATING exponential backoff (DegradationPolicy::max_stream_retries
-//     / max_backoff_ns, retries_total metric);
-//   * worker death mid-stream — the dead shard's lanes keep draining (so
-//     backpressure cannot deadlock) but its edges are discarded and the
-//     shard is QUARANTINED out of the merge;
-//   * merge corruption — before folding, shard fingerprints
-//     (State::MergeFingerprint(), when provided) are compared and the
-//     minority view is quarantined rather than folded into garbage.
-// Quarantine counts are reported in RuntimeMetrics (shards_quarantined,
-// QuarantinedFraction()) so drivers can attach a confidence discount to the
-// final estimate. strict mode turns every degradation into a hard failure —
-// and every strict exit happens AFTER the rings are closed and all worker
-// threads joined, so process teardown never races live workers.
+// Degradation (runtime/degradation.h, injectable via src/fault): transient
+// stream errors retry under RetryBackoff and an exhausted budget truncates
+// that producer's pass; a dead worker's lanes keep draining (so
+// backpressure cannot deadlock) but its shard is QUARANTINED out of the
+// merge, as is the minority of a VoteFingerprints over the shards'
+// MergeFingerprint(). Quarantine counts land in RuntimeMetrics so drivers
+// can discount the estimate's confidence; every strict exit happens AFTER
+// the rings are closed and all worker threads joined.
 
 #ifndef STREAMKC_RUNTIME_SHARDED_PIPELINE_H_
 #define STREAMKC_RUNTIME_SHARDED_PIPELINE_H_
@@ -88,6 +79,7 @@
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
 #include "obs/space_accountant.h"
+#include "runtime/degradation.h"
 #include "runtime/edge_batch.h"
 #include "runtime/runtime_metrics.h"
 #include "runtime/shard_router.h"
@@ -96,25 +88,6 @@
 #include "util/check.h"
 
 namespace streamkc {
-
-// How the pipeline responds to faults (injected or real).
-struct DegradationPolicy {
-  // Consecutive transient-read retries before a producer gives up and
-  // truncates its pass (the stream's error then surfaces through ok()).
-  // The budget resets after every successful read.
-  uint32_t max_stream_retries = 5;
-  // First retry backoff; doubles per consecutive retry.
-  uint64_t initial_backoff_ns = 100'000;  // 100 µs
-  // Backoff ceiling: the doubling SATURATES here instead of growing
-  // unboundedly (an uncapped uint64 doubling wraps after ~47 consecutive
-  // failures and turns the next sleep into a near-eternal one).
-  uint64_t max_backoff_ns = 100'000'000;  // 100 ms
-  // Hard-fail mode: abort the process on any degradation (exhausted
-  // retries, worker death, merge corruption) instead of quarantining —
-  // for runs where a partial answer is worse than no answer. Strict exits
-  // always run after rings are closed and workers joined.
-  bool strict = false;
-};
 
 struct ShardedPipelineOptions {
   uint32_t num_shards = 1;
@@ -280,20 +253,15 @@ class ShardedPipeline {
       lat.ring(p, s).Push(std::move(accum[s]));
       accum[s] = std::move(next);
     };
-    const DegradationPolicy& deg = options_.degradation;
-    // Bounded retry with saturating exponential backoff for TRANSIENT
-    // stream errors. The budget is per-consecutive-failure: any successful
-    // read resets it.
-    uint32_t retries_used = 0;
-    uint64_t backoff_ns =
-        std::min(deg.initial_backoff_ns, deg.max_backoff_ns);
+    // Transient stream errors retry under the shared backoff; the budget
+    // resets once per successful batch read, never per edge.
+    RetryBackoff backoff(options_.degradation, retry_backoff_hist);
     std::vector<Edge> read_buf;
     ProducerStatus status;
     for (;;) {
       size_t got = stream.NextBatch(&read_buf, options_.batch_size);
       if (got > 0) {
-        retries_used = 0;
-        backoff_ns = std::min(deg.initial_backoff_ns, deg.max_backoff_ns);
+        backoff.Reset();
         metrics_.edges_ingested.fetch_add(got, std::memory_order_relaxed);
         pm.edges.fetch_add(got, std::memory_order_relaxed);
         for (const Edge& e : read_buf) {
@@ -306,18 +274,10 @@ class ShardedPipeline {
         if (got == 0) break;  // end of stream
         continue;
       }
-      if (stream.transient() && retries_used < deg.max_stream_retries) {
-        // Retry: the next NextBatch() call clears the error and resumes.
-        ++retries_used;
+      // Retry: the next NextBatch() call clears the error and resumes.
+      if (stream.transient() && backoff.Retry()) {
         metrics_.stream_retries.fetch_add(1, std::memory_order_relaxed);
         pm.stream_retries.fetch_add(1, std::memory_order_relaxed);
-        retry_backoff_hist->Observe(backoff_ns);
-        std::this_thread::sleep_for(std::chrono::nanoseconds(backoff_ns));
-        // Saturating doubling: cap at max_backoff_ns without ever
-        // overflowing the multiplication itself.
-        backoff_ns = backoff_ns >= deg.max_backoff_ns / 2
-                         ? deg.max_backoff_ns
-                         : backoff_ns * 2;
         continue;
       }
       // Unrecoverable (parse error, or transient budget exhausted): this
@@ -332,7 +292,7 @@ class ShardedPipeline {
     for (uint32_t s = 0; s < n; ++s) lat.ring(p, s).Close();
     status.ok = stream.ok();
     status.transient = stream.transient();
-    status.retries_used = retries_used;
+    status.retries_used = backoff.retries();
     status.message = stream.StatusMessage();
     return status;
   }
@@ -519,8 +479,7 @@ class ShardedPipeline {
 
     const DegradationPolicy& deg = options_.degradation;
     // Strict-mode stream failure: decided HERE, after the close+join
-    // sequence above, so registry/atexit teardown can never race live
-    // worker threads (the old mid-stream exit left all workers running).
+    // sequence above, so registry/atexit teardown never races live workers.
     if (deg.strict) {
       for (uint32_t p = 0; p < P; ++p) {
         const ProducerStatus& st = producer_status_[p];
@@ -571,21 +530,9 @@ class ShardedPipeline {
           injector->Count(FaultInjector::kFaultMergeCorruption);
         }
       }
-      uint64_t canonical = 0;
-      uint32_t best_votes = 0;
-      for (uint32_t s = 0; s < n; ++s) {
-        if (quarantined[s]) continue;
-        uint32_t votes = 0;
-        for (uint32_t t = 0; t < n; ++t) {
-          if (!quarantined[t] && fps[t] == fps[s]) ++votes;
-        }
-        if (votes > best_votes) {
-          best_votes = votes;
-          canonical = fps[s];
-        }
-      }
-      for (uint32_t s = 0; s < n; ++s) {
-        if (quarantined[s] || best_votes == 0 || fps[s] == canonical) continue;
+      std::vector<uint8_t> voting(n);
+      for (uint32_t s = 0; s < n; ++s) voting[s] = !quarantined[s];
+      for (uint32_t s : VoteFingerprints(fps, voting).minority) {
         quarantined[s] = 1;
         metrics_.merge_corruptions_detected.fetch_add(
             1, std::memory_order_relaxed);
@@ -599,17 +546,7 @@ class ShardedPipeline {
     }
     metrics_.shards_quarantined.store(num_quarantined,
                                       std::memory_order_relaxed);
-    if (num_quarantined > 0 && deg.strict) {
-      std::fprintf(stderr, "[streamkc] strict: %u/%u shards quarantined\n",
-                   num_quarantined, n);
-      std::exit(1);
-    }
-    if (num_quarantined == n) {
-      // No healthy replica survives; a fabricated answer would be worse
-      // than none, strict mode or not.
-      std::fprintf(stderr, "[streamkc] all %u shards quarantined\n", n);
-      std::exit(1);
-    }
+    ExitIfQuarantineFatal(deg, num_quarantined, n, "shards");
 
     // Merge coordinator: fold the healthy shards in fixed shard order (root
     // = lowest healthy shard) for determinism.

@@ -1,9 +1,10 @@
 #include "serve/serving_runtime.h"
 
 #include <chrono>
-#include <thread>
 #include <utility>
 
+#include "runtime/edge_batch.h"
+#include "runtime/sharded_pipeline.h"
 #include "util/check.h"
 
 namespace streamkc {
@@ -65,9 +66,11 @@ IngestSummary ServingRuntime::Ingest(EdgeStream& stream) {
 
 IngestSummary ServingRuntime::IngestInline(EdgeStream& stream) {
   IngestSummary summary;
-  const DegradationPolicy& deg = options_.degradation;
-  uint32_t retries_used = 0;
-  uint64_t backoff_ns = deg.initial_backoff_ns;
+  // The sharded path's pipelines record into the same histogram.
+  MetricsRegistry* reg =
+      options_.registry ? options_.registry : &MetricsRegistry::Global();
+  RetryBackoff backoff(options_.degradation,
+                       reg->GetHistogram("runtime_retry_backoff_ns"));
   uint64_t segment_edges = 0;
   EdgeBatch batch(options_.batch_size);
   for (;;) {
@@ -79,8 +82,7 @@ IngestSummary ServingRuntime::IngestInline(EdgeStream& stream) {
                       : static_cast<size_t>(room);
     size_t got = stream.NextBatch(&batch.edges, want);
     if (got > 0) {
-      retries_used = 0;
-      backoff_ns = deg.initial_backoff_ns;
+      backoff.Reset();
       batch.Prefold();
       state_.ProcessBatch(batch.View());
       edges_ingested_->Increment(got);
@@ -94,14 +96,8 @@ IngestSummary ServingRuntime::IngestInline(EdgeStream& stream) {
       }
       continue;
     }
-    if (!stream.ok() && stream.transient() &&
-        retries_used < deg.max_stream_retries) {
-      ++retries_used;
-      std::this_thread::sleep_for(std::chrono::nanoseconds(backoff_ns));
-      backoff_ns *= 2;
-      continue;
-    }
-    break;  // clean end of stream, or an unrecoverable error
+    if (!stream.ok() && stream.transient() && backoff.Retry()) continue;
+    break;  // end of stream, a hard error, or an exhausted retry budget
   }
   // A trailing partial segment still publishes, so the final snapshot
   // always covers the entire stream.

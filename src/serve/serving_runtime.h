@@ -37,7 +37,7 @@
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
 #include "runtime/shard_router.h"
-#include "runtime/sharded_pipeline.h"
+#include "runtime/degradation.h"
 #include "serve/serving_state.h"
 #include "serve/snapshot_store.h"
 #include "stream/edge_stream.h"

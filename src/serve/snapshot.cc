@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "util/check.h"
+#include "util/envelope.h"
 #include "util/serialize.h"
 
 namespace streamkc {
@@ -11,40 +12,15 @@ namespace {
 
 // 'K''C''S''N' — streamkc coverage snapshot.
 constexpr uint32_t kSnapshotMagic = 0x4B43534E;
-constexpr uint32_t kSnapshotVersion = 1;
-
-void WriteString(std::ostream& os, const std::string& s) {
-  WriteU64(os, s.size());
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string ReadString(std::istream& is) {
-  uint64_t size = ReadU64(is);
-  // Defensive cap, same discipline as ReadPodVector: a corrupt length must
-  // not drive a huge allocation before the checksum would have caught it.
-  CHECK_LT(size, uint64_t{1} << 20);
-  std::string s(size, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(size));
-  CHECK(is.good() || size == 0);
-  return s;
-}
+// Version 2 is the util/envelope.h layout; version 1 blobs are rejected.
+constexpr uint32_t kSnapshotVersion = 2;
 
 }  // namespace
-
-uint64_t SnapshotChecksum(const std::string& bytes) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 std::shared_ptr<const CoverageSnapshot> CoverageSnapshot::Build(
     const ServingState& state, const SnapshotMeta& meta) {
   MaxCoverSolution solution = state.FinalizeSolution();
 
-  // Payload first, so the checksum can cover every byte after the header.
   std::stringstream payload;
   WriteU64(payload, meta.epoch);
   WriteU64(payload, meta.edges_ingested);
@@ -53,30 +29,26 @@ std::shared_ptr<const CoverageSnapshot> CoverageSnapshot::Build(
   WriteU32(payload, meta.shards);
   WriteU64(payload, meta.publish_steady_ns);
   WriteDouble(payload, solution.estimate);
-  WriteString(payload, solution.source);
+  WritePodVector(payload, std::vector<char>(solution.source.begin(),
+                                            solution.source.end()));
   WritePodVector(payload, solution.sets);
   state.set_coverage().Save(payload);
 
-  std::stringstream blob;
-  WriteHeader(blob, kSnapshotMagic, kSnapshotVersion);
-  const std::string payload_bytes = payload.str();
-  WriteU64(blob, SnapshotChecksum(payload_bytes));
-  blob.write(payload_bytes.data(),
-             static_cast<std::streamsize>(payload_bytes.size()));
   // Restoring from the just-written bytes (instead of copying live members)
   // keeps the serialization path on the publish hot path: a blob that can't
   // round-trip fails HERE, at the producer, not at a reader.
-  return FromBlob(blob.str());
+  return FromBlob(
+      EncodeEnvelope(kSnapshotMagic, kSnapshotVersion, payload.str()));
 }
 
 std::shared_ptr<const CoverageSnapshot> CoverageSnapshot::FromBlob(
     const std::string& blob) {
-  std::stringstream is(blob);
-  CheckHeader(is, kSnapshotMagic, kSnapshotVersion);
-  uint64_t want_checksum = ReadU64(is);
-  constexpr size_t kHeaderBytes = 4 + 4 + 8;
-  CHECK_GE(blob.size(), kHeaderBytes);
-  CHECK_EQ(SnapshotChecksum(blob.substr(kHeaderBytes)), want_checksum);
+  // Exactly one valid envelope, or die: a corrupt snapshot is never served.
+  const EnvelopeParse env =
+      ParseEnvelope(blob, kSnapshotMagic, kSnapshotVersion);
+  CHECK(env.status == EnvelopeParse::Status::kOk);
+  CHECK_EQ(env.size, blob.size());
+  std::stringstream is{std::string(env.body)};
 
   auto snap = std::shared_ptr<CoverageSnapshot>(new CoverageSnapshot());
   snap->meta_.epoch = ReadU64(is);
@@ -86,7 +58,8 @@ std::shared_ptr<const CoverageSnapshot> CoverageSnapshot::FromBlob(
   snap->meta_.shards = ReadU32(is);
   snap->meta_.publish_steady_ns = ReadU64(is);
   snap->solution_.estimate = ReadDouble(is);
-  snap->solution_.source = ReadString(is);
+  const std::vector<char> source = ReadPodVector<char>(is);
+  snap->solution_.source.assign(source.begin(), source.end());
   snap->solution_.sets = ReadPodVector<SetId>(is);
   snap->set_coverage_ = std::make_unique<CountSketch>(CountSketch::Load(is));
   snap->blob_ = blob;

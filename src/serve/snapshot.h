@@ -11,10 +11,11 @@
 // finalizing per query from many reader threads would race; precomputing
 // makes every read a pure lookup.
 //
-// Integrity: the blob carries a (magic, version) header and an FNV-1a
-// checksum over the payload. FromBlob CHECK-fails on any mismatch — a
-// corrupt snapshot must never be served (tests/serve_snapshot_test.cc holds
-// this with tampered-blob death tests, the sketch_serialize_test pattern).
+// Integrity: the blob is one util/envelope.h envelope (magic 'KCSN',
+// version 2, CRC-32). FromBlob CHECK-fails on anything but exactly one
+// valid envelope — a corrupt snapshot must never be served
+// (tests/serve_snapshot_test.cc holds this with tampered-blob death tests,
+// the sketch_serialize_test pattern).
 // Build() itself round-trips through FromBlob, so the serialization path is
 // exercised on every publish, not just in checkpoint tooling.
 
@@ -54,8 +55,8 @@ class CoverageSnapshot {
       const ServingState& state, const SnapshotMeta& meta);
 
   // Restores a snapshot from serialized bytes. CHECK-fails on a bad magic,
-  // version, checksum, or truncated payload — corruption is fatal, never
-  // silently served.
+  // version, checksum, truncation or trailing bytes — corruption is fatal,
+  // never silently served.
   static std::shared_ptr<const CoverageSnapshot> FromBlob(
       const std::string& blob);
 
@@ -84,9 +85,6 @@ class CoverageSnapshot {
   std::unique_ptr<CountSketch> set_coverage_;
   std::string blob_;
 };
-
-// FNV-1a 64 over `bytes` — the snapshot payload checksum.
-uint64_t SnapshotChecksum(const std::string& bytes);
 
 }  // namespace streamkc
 

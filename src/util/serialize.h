@@ -4,9 +4,11 @@
 // 32-bit version first; Load CHECK-fails on mismatch (a corrupt or
 // foreign-version checkpoint is unrecoverable, so it is treated as a fatal
 // pipeline error, consistent with the library's no-exceptions policy).
-// Integers are written little-endian fixed-width; this code targets
-// same-architecture checkpoint/restore (the library's use case: sharded
-// workers on one cluster), not cross-endian archival.
+// Integers and doubles are written fixed-width in HOST byte order (a raw
+// memory copy); this code targets same-architecture checkpoint/restore (the
+// library's use case: sharded workers on one cluster), not cross-endian
+// archival. Blobs that cross a process, file or publish boundary are
+// wrapped in util/envelope.h.
 
 #ifndef STREAMKC_UTIL_SERIALIZE_H_
 #define STREAMKC_UTIL_SERIALIZE_H_
@@ -28,10 +30,6 @@ inline void WriteU64(std::ostream& os, uint64_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-inline void WriteI64(std::ostream& os, int64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
 inline void WriteDouble(std::ostream& os, double v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
@@ -45,13 +43,6 @@ inline uint32_t ReadU32(std::istream& is) {
 
 inline uint64_t ReadU64(std::istream& is) {
   uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  CHECK(is.good());
-  return v;
-}
-
-inline int64_t ReadI64(std::istream& is) {
-  int64_t v = 0;
   is.read(reinterpret_cast<char*>(&v), sizeof(v));
   CHECK(is.good());
   return v;

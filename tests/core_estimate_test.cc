@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "test_util.h"
 
 namespace streamkc {
@@ -45,6 +47,10 @@ struct EstCase {
   GeneratedInstance (*make)(uint64_t seed);
   uint64_t k;
 };
+
+// Prints the case by name so the parameter shown in test listings (and in
+// the ctest names discovered from them) does not embed pointer values.
+void PrintTo(const EstCase& c, std::ostream* os) { *os << c.name; }
 
 GeneratedInstance EstPlanted(uint64_t seed) {
   return PlantedCover(2048, 4096, 32, 0.5, 6, seed);

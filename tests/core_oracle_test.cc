@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "test_util.h"
 
 namespace streamkc {
@@ -36,6 +38,10 @@ struct OracleCase {
   GeneratedInstance (*make)(uint64_t seed);
   uint64_t k;
 };
+
+// Prints the case by name so the parameter shown in test listings (and in
+// the ctest names discovered from them) does not embed pointer values.
+void PrintTo(const OracleCase& c, std::ostream* os) { *os << c.name; }
 
 GeneratedInstance MakeCommon(uint64_t seed) {
   return CommonElementFamily(1024, 2048, 8, 4.0, 1024, seed);

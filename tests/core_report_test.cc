@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "test_util.h"
@@ -41,6 +42,10 @@ struct RepCase {
   GeneratedInstance (*make)(uint64_t seed);
   uint64_t k;
 };
+
+// Prints the case by name so the parameter shown in test listings (and in
+// the ctest names discovered from them) does not embed pointer values.
+void PrintTo(const RepCase& c, std::ostream* os) { *os << c.name; }
 
 GeneratedInstance RepPlanted(uint64_t seed) {
   return PlantedCover(2048, 4096, 32, 0.5, 6, seed);

@@ -16,15 +16,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
-#include "dist/frame.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "runtime/sketch_states.h"
 #include "test_util.h"
+#include "util/envelope.h"
 
 namespace streamkc {
 namespace {
@@ -200,6 +201,35 @@ TEST(DistCheckpoint, TryDecodeRejectsEveryCorruptionClassWithoutDying) {
   }
   EXPECT_FALSE(TryDecodeCheckpoint(bytes + "x", &out, &error));
   EXPECT_FALSE(TryDecodeCheckpoint(bytes + bytes, &out, &error));
+}
+
+TEST(DistCheckpoint, TryDecodeNamesEachCorruptionClass) {
+  const std::string bytes = EncodeCheckpoint(MakeCheckpoint());
+  auto reason = [](const std::string& blob) {
+    Checkpoint out;
+    std::string error;
+    EXPECT_FALSE(TryDecodeCheckpoint(blob, &out, &error));
+    return error;
+  };
+  EXPECT_EQ(reason(bytes.substr(0, 3)), "truncated");
+  EXPECT_EQ(reason(bytes.substr(0, bytes.size() - 1)), "truncated");
+  EXPECT_EQ(reason(bytes + "x"), "trailing garbage");
+  std::string bad = bytes;
+  bad[bad.size() / 2] ^= 0x01;
+  EXPECT_EQ(reason(bad), "crc mismatch");
+  // A version-1 blob (CRC over the body alone) is refused, never misread.
+  bad = bytes;
+  const uint32_t v1 = 1;
+  std::memcpy(bad.data() + 4, &v1, sizeof(v1));
+  EXPECT_EQ(reason(bad), "unsupported version");
+  // A valid envelope around a body that is not a checkpoint.
+  const uint32_t magic = 0x534b4331;  // "SKC1"
+  const uint32_t version = 2;
+  EXPECT_EQ(reason(EncodeEnvelope(magic, version, "short")), "body too short");
+  std::string body(bytes.substr(kEnvelopeHeaderBytes));
+  body.push_back('x');  // one byte more than the recorded state_len
+  EXPECT_EQ(reason(EncodeEnvelope(magic, version, body)),
+            "state length mismatch");
 }
 
 TEST(DistCheckpoint, TryLoadRejectsMissingAndTornFilesWithoutDying) {

@@ -172,6 +172,23 @@ TEST_F(DistDifferential, CorruptMergeFingerprintLosesMajorityVote) {
   EXPECT_EQ(dist.fingerprint, harness.RunInline().fingerprint);
 }
 
+TEST_F(DistDifferential, StrictModeExitsAfterTheReductionOnQuarantine) {
+  // DegradationPolicy::strict is the one strict switch for every engine:
+  // a quarantined worker turns the dist run into exit(1), decided only
+  // after every worker has been reaped and the survivors reduced.
+  ScopedWorkerHarness harness = MakeHarness(/*seed=*/8);
+  FaultInjector injector(FaultPlan::ParseOrDie("seed=7,corrupt-frame=1"));
+  DistOptions opt;
+  opt.num_workers = 2;
+  opt.fault_injector = &injector;
+  opt.degradation.strict = true;
+  EXPECT_EXIT(harness.RunDist(opt), ::testing::ExitedWithCode(1),
+              "strict: 1/2 workers quarantined");
+  // A clean strict run is not degraded and completes normally.
+  opt.fault_injector = nullptr;
+  EXPECT_EQ(harness.RunDist(opt).state_blob, harness.RunInline().state_blob);
+}
+
 TEST_F(DistDifferential, StreamFaultsInsideWorkersStayDeterministic) {
   // Duplicates injected inside the worker processes: two distributed runs
   // with the same plan must agree byte-for-byte (seed-replayability across

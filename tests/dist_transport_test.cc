@@ -175,6 +175,33 @@ TEST(FrameReassemblyTest, RandomSplitsDecodeIdenticallyOnBothFlavors) {
   }
 }
 
+TEST(FrameReassemblyTest, EveryTwoWaySplitDecodesOnBothFlavors) {
+  // Two frames, the second with an empty payload (a body that is only the
+  // fingerprint), delivered in two chunks split at every byte offset.
+  const Frame a = MakeTestFrame(/*seed=*/25, /*payload_size=*/40);
+  const Frame b = MakeTestFrame(/*seed=*/26, /*payload_size=*/0);
+  const std::string bytes = EncodeFrame(a) + EncodeFrame(b);
+  for (size_t cut = 1; cut < bytes.size(); ++cut) {
+    for (const FdPair& fds : MakeBothFdFlavors()) {
+      FrameDecoder decoder;
+      DeliverThroughFds(fds.write_fd, fds.read_fd, bytes,
+                        {cut, bytes.size() - cut}, &decoder);
+      Frame out;
+      std::string err;
+      ASSERT_EQ(decoder.Next(&out, &err), FrameDecoder::Status::kFrame)
+          << fds.name << " cut=" << cut;
+      EXPECT_EQ(out.fingerprint, a.fingerprint);
+      EXPECT_EQ(out.payload, a.payload);
+      ASSERT_EQ(decoder.Next(&out, &err), FrameDecoder::Status::kFrame);
+      EXPECT_EQ(out.fingerprint, b.fingerprint);
+      EXPECT_TRUE(out.payload.empty());
+      EXPECT_EQ(decoder.Next(&out, &err), FrameDecoder::Status::kNeedMore);
+      ::close(fds.read_fd);
+      ::close(fds.write_fd);
+    }
+  }
+}
+
 TEST(FrameReassemblyTest, CorruptMidDeliveryIsStickyOnBothFlavors) {
   const Frame frame = MakeTestFrame(/*seed=*/31, /*payload_size=*/900);
   const std::string good = EncodeFrame(frame);

@@ -2,8 +2,9 @@
 // criterion: querying a snapshot at epoch E returns exactly what a one-shot
 // inline pass over the first E ingest segments would have returned. Plus:
 // sharded segment ingest converges to the same answers as inline, a
-// trailing partial segment still publishes, and pipeline quarantine
-// propagates into every later snapshot's staleness metadata.
+// trailing partial segment still publishes, pipeline quarantine
+// propagates into every later snapshot's staleness metadata, and inline
+// ingest retries transient read errors under the shared saturating backoff.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "core/params.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
+#include "fault/faulty_stream.h"
 #include "obs/metrics.h"
 #include "serve/query_engine.h"
 #include "serve/serving_runtime.h"
@@ -210,6 +212,77 @@ TEST(ServingRuntime, IngestMetricsAreConsistent) {
   EXPECT_EQ(store.epoch(), sum.snapshots_published);
   EXPECT_EQ(registry.GetHistogram("serve_publish_ns")->Count(),
             sum.snapshots_published);
+}
+
+TEST(ServingRuntime, InlineBackoffSaturatesAtTheCapUnderALongFaultBurst) {
+  // The inline twin of FaultPipeline.BackoffSaturatesAtTheCapUnder-
+  // ALongFaultBurst: read-error=1 fails every read, so inline ingest burns
+  // its whole budget in one burst. An uncapped doubling would sleep ~2^63
+  // ns here; the shared backoff pins every sleep at the cap instead.
+  const std::vector<Edge> edges = TestEdges();
+  MetricsRegistry registry;
+  SnapshotStore store("rt5", &registry);
+  ServingRuntimeOptions opts;
+  opts.snapshot_every_edges = 300;
+  opts.registry = &registry;
+  opts.degradation.max_stream_retries = 100;  // > 64 consecutive failures
+  opts.degradation.initial_backoff_ns = 1;
+  opts.degradation.max_backoff_ns = 1024;
+  FaultInjector injector(FaultPlan::ParseOrDie("seed=1,read-error=1"),
+                         &registry);
+  ServingRuntime runtime(TestConfig(), opts, &store);
+  VectorEdgeStream inner(edges);
+  FaultInjectingStream stream(&inner, &injector);
+  IngestSummary sum = runtime.Ingest(stream);
+
+  Histogram* h = registry.GetHistogram("runtime_retry_backoff_ns");
+  EXPECT_EQ(h->Count(), 100u);
+  // 1, 2, 4, ..., 512 (sum 1023), then 90 sleeps saturated at 1024.
+  EXPECT_EQ(h->Sum(), 1023u + 90u * 1024u);
+  EXPECT_EQ(sum.edges, 0u);
+  EXPECT_EQ(sum.snapshots_published, 0u);
+  EXPECT_EQ(store.Current(), nullptr);
+  EXPECT_FALSE(sum.stream_ok);
+}
+
+TEST(ServingRuntime, InlineRetriedReadErrorsLeaveTheAnswerUnchanged) {
+  // Retried transient errors are timing-only: the final snapshot must equal
+  // a clean inline pass bit for bit.
+  const std::vector<Edge> edges = TestEdges();
+  auto run = [&](const char* plan_spec) {
+    MetricsRegistry registry;
+    SnapshotStore store("rt6", &registry);
+    ServingRuntimeOptions opts;
+    opts.snapshot_every_edges = 300;
+    // Small batches: a read error only costs a retry when it hits the
+    // first edge of a NextBatch call.
+    opts.batch_size = 8;
+    opts.registry = &registry;
+    opts.degradation.initial_backoff_ns = 1000;
+    FaultInjector injector(FaultPlan::ParseOrDie(plan_spec), &registry);
+    ServingRuntime runtime(TestConfig(), opts, &store);
+    VectorEdgeStream inner(edges);
+    FaultInjectingStream stream(&inner, &injector);
+    IngestSummary sum = runtime.Ingest(stream);
+    EXPECT_TRUE(sum.stream_ok) << plan_spec;
+    EXPECT_EQ(sum.edges, edges.size()) << plan_spec;
+    return std::make_pair(
+        store.Current(),
+        registry.GetHistogram("runtime_retry_backoff_ns")->Count());
+  };
+  auto [clean, clean_retries] = run("seed=3");
+  auto [faulty, faulty_retries] = run("seed=3,read-error=0.01");
+  EXPECT_EQ(clean_retries, 0u);
+  EXPECT_GT(faulty_retries, 0u);
+  ASSERT_NE(clean, nullptr);
+  ASSERT_NE(faulty, nullptr);
+  EXPECT_EQ(faulty->meta().epoch, clean->meta().epoch);
+  EXPECT_DOUBLE_EQ(faulty->solution().estimate, clean->solution().estimate);
+  EXPECT_EQ(faulty->solution().source, clean->solution().source);
+  EXPECT_EQ(faulty->solution().sets, clean->solution().sets);
+  for (SetId s = 0; s < 16; ++s) {
+    EXPECT_DOUBLE_EQ(faulty->SetCoverage(s), clean->SetCoverage(s));
+  }
 }
 
 }  // namespace

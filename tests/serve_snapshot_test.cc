@@ -1,7 +1,7 @@
 // CoverageSnapshot contract: Build precomputes the answers a snapshot
 // serves, the blob round-trips losslessly, and EVERY form of corruption —
 // wrong magic, wrong version, flipped payload byte, forged checksum,
-// truncation — dies loudly instead of restoring garbage (the
+// truncation, trailing bytes — dies loudly instead of restoring garbage (the
 // sketch_serialize_test discipline, applied to the serving tier).
 
 #include <gtest/gtest.h>
@@ -129,10 +129,10 @@ TEST(CoverageSnapshotDeathTest, FlippedPayloadByteAborts) {
 TEST(CoverageSnapshotDeathTest, ForgedChecksumAborts) {
   ServingState state = FedState(TestEdges());
   std::string blob = CoverageSnapshot::Build(state, TestMeta())->blob();
-  // The checksum lives right after the 8-byte header. Forging it proves the
-  // check compares against recomputation, not against itself.
-  uint64_t forged = 0xDEADBEEFDEADBEEFull;
-  std::memcpy(blob.data() + 8, &forged, sizeof(forged));
+  // The CRC lives at offset 16, after magic, version and body_len. Forging
+  // it proves the check compares against recomputation, not against itself.
+  uint32_t forged = 0xDEADBEEFu;
+  std::memcpy(blob.data() + 16, &forged, sizeof(forged));
   EXPECT_DEATH(CoverageSnapshot::FromBlob(blob), "CHECK failed");
 }
 
@@ -141,6 +141,14 @@ TEST(CoverageSnapshotDeathTest, TruncatedBlobAborts) {
   std::string blob = CoverageSnapshot::Build(state, TestMeta())->blob();
   EXPECT_DEATH(CoverageSnapshot::FromBlob(blob.substr(0, blob.size() / 2)),
                "CHECK failed");
+}
+
+TEST(CoverageSnapshotDeathTest, TrailingBytesAbort) {
+  ServingState state = FedState(TestEdges());
+  std::string blob = CoverageSnapshot::Build(state, TestMeta())->blob();
+  // A valid envelope followed by anything is not exactly one envelope.
+  EXPECT_DEATH(CoverageSnapshot::FromBlob(blob + "x"), "CHECK failed");
+  EXPECT_DEATH(CoverageSnapshot::FromBlob(blob + blob), "CHECK failed");
 }
 
 TEST(CoverageSnapshotDeathTest, EmptyBlobAborts) {

@@ -22,8 +22,10 @@ namespace streamkc {
 namespace {
 
 // One cell of the sweep grid: (family, alpha) at a fixed instance shape.
-class StatisticalSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+// The family is a std::string, not a const char*, so gtest prints its text
+// rather than its address in test listings.
+using SweepCell = std::tuple<std::string, double>;
+class StatisticalSweep : public ::testing::TestWithParam<SweepCell> {};
 
 TEST_P(StatisticalSweep, AlphaBoundHoldsAcrossSeeds) {
   const std::string family = std::get<0>(GetParam());
@@ -70,10 +72,12 @@ TEST_P(StatisticalSweep, AlphaBoundHoldsAcrossSeeds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cells, StatisticalSweep,
-    ::testing::Combine(::testing::Values("uniform", "zipf", "planted"),
+    ::testing::Combine(::testing::Values(std::string("uniform"),
+                                         std::string("zipf"),
+                                         std::string("planted")),
                        ::testing::Values(4.0, 8.0)),
-    [](const ::testing::TestParamInfo<std::tuple<const char*, double>>& info) {
-      return std::string(std::get<0>(info.param)) + "_alpha" +
+    [](const ::testing::TestParamInfo<SweepCell>& info) {
+      return std::get<0>(info.param) + "_alpha" +
              std::to_string(static_cast<int>(std::get<1>(info.param)));
     });
 

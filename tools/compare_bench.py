@@ -25,6 +25,11 @@ Two classes of drift, handled differently:
 Scales must match: comparing a small-scale smoke run against a full-scale
 baseline silently flatters (or slanders) the current build, so mismatched
 scales are shape drift, not a perf warning.
+
+Host facts recorded in `config` (HOST_CONFIG_KEYS, e.g. the hardware thread
+count the baseline was recorded on) describe the machine, not the workload:
+a mismatch is printed as a note. Hardware-dependent verdicts are the benches'
+own `_ok` self-gates, which judge against hardware-aware floors.
 """
 
 import argparse
@@ -33,6 +38,7 @@ import sys
 
 SCHEMA_VERSION = 1
 PERF_SUFFIXES = ("_eps", "_qps")
+HOST_CONFIG_KEYS = ("hardware_threads",)
 
 
 def load(path):
@@ -90,6 +96,9 @@ def main():
         have = cur["config"].get(key)
         if have is None:
             failures.append(f"config key '{key}' missing from current run")
+        elif have != want and key in HOST_CONFIG_KEYS:
+            print(f"note: baseline recorded with {key}={want}, this host "
+                  f"has {have}; throughput comparisons are cross-host")
         elif have != want:
             failures.append(
                 f"config drift: {key} baseline {want}, current {have}")
