@@ -20,9 +20,9 @@
 #include <string>
 #include <vector>
 
-#include "dist/reduction_tree.h"
 #include "dist/worker_counters.h"
 #include "obs/metrics.h"
+#include "runtime/reduction_tree.h"
 
 namespace streamkc {
 

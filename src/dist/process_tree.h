@@ -15,7 +15,8 @@
 // per-worker fds plus whatever reactor fds the transport owns (listen
 // socket, half-open connections, SIGCHLD self-pipe), reassembles frames
 // with a per-connection FrameDecoder, and reduces the surviving states
-// through the arity-configurable merge tree (dist/reduction_tree.h).
+// through ReduceReplicas (runtime/reduction_tree.h) — the fingerprint vote
+// and arity-configurable merge tree the in-process pipeline shares.
 //
 // Crash recovery: with a checkpoint_dir configured, workers write a
 // checksummed checkpoint (dist/checkpoint.h) every checkpoint_every
@@ -90,12 +91,12 @@
 #include "dist/checkpoint.h"
 #include "dist/dist_metrics.h"
 #include "dist/frame.h"
-#include "dist/reduction_tree.h"
 #include "dist/transport.h"
 #include "dist/worker_counters.h"
 #include "fault/fault_injector.h"
 #include "runtime/degradation.h"
 #include "runtime/edge_batch.h"
+#include "runtime/reduction_tree.h"
 #include "stream/edge_stream.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
@@ -203,45 +204,38 @@ class ProcessReductionTree {
     metrics_.socket_drops = tstats.socket_drops;
     transport_.reset();  // close the listen socket, restore SIGCHLD
 
-    // Majority vote over the reported fingerprints (the in-process
-    // pipeline's corruption detection, applied across process boundaries).
+    // The reduce the in-process pipeline runs too, fed from the frames.
     // corrupt-merge faults flip the reported value before the vote, so the
-    // vote — not a cross-check against the payload — must catch them.
-    std::vector<uint64_t> fingerprints(options_.num_workers);
-    std::vector<uint8_t> voting(options_.num_workers);
-    for (uint32_t w = 0; w < options_.num_workers; ++w) {
-      fingerprints[w] = slots[w].frame.fingerprint;
-      voting[w] = slots[w].state == Slot::kDone;
-    }
-    const FingerprintVote vote = VoteFingerprints(fingerprints, voting);
-    for (uint32_t v : vote.minority) {
-      std::fprintf(stderr,
-                   "dist: worker %u merge fingerprint %016llx "
-                   "disagrees with majority %016llx; quarantined\n",
-                   v, (unsigned long long)fingerprints[v],
-                   (unsigned long long)vote.majority);
-      metrics_.workers[v].fingerprint_corrupted = true;
-      Quarantine(v, &slots[v]);
-    }
-
-    // Deserialize survivors: counters block first, then the state blob.
-    std::vector<std::unique_ptr<State>> states(options_.num_workers);
-    for (uint32_t w = 0; w < options_.num_workers; ++w) {
-      if (slots[w].state != Slot::kDone) continue;
-      std::istringstream is(slots[w].frame.payload);
-      metrics_.workers[w].counters = WorkerCounters::Load(is);
-      states[w] = std::make_unique<State>(State::Load(is));
-      ++metrics_.frames_received;
-    }
-
+    // vote — not a cross-check against the payload — must catch them. Only
+    // survivors are deserialized: counters block first, then the state.
     // Strict mode: a successful respawn is recovery, not degradation; only
     // a quarantine trips it.
-    ExitIfQuarantineFatal(options_.degradation, metrics_.WorkersQuarantined(),
-                          options_.num_workers, "workers");
-    const size_t root =
-        TreeMerge(&states, options_.merge_arity, &metrics_.tree);
+    std::vector<uint64_t> fingerprints(options_.num_workers);
+    std::vector<uint8_t> healthy(options_.num_workers);
+    for (uint32_t w = 0; w < options_.num_workers; ++w) {
+      fingerprints[w] = slots[w].frame.fingerprint;
+      healthy[w] = slots[w].state == Slot::kDone;
+    }
+    State merged = ReduceReplicas<State>(
+        fingerprints, &healthy, options_.degradation, "workers",
+        options_.merge_arity, &metrics_.tree,
+        [&](uint32_t w) {
+          std::istringstream is(slots[w].frame.payload);
+          metrics_.workers[w].counters = WorkerCounters::Load(is);
+          ++metrics_.frames_received;
+          return std::make_unique<State>(State::Load(is));
+        },
+        [&](uint32_t w, uint64_t majority) {
+          std::fprintf(stderr,
+                       "dist: worker %u merge fingerprint %016llx "
+                       "disagrees with majority %016llx; quarantined\n",
+                       w, (unsigned long long)fingerprints[w],
+                       (unsigned long long)majority);
+          metrics_.workers[w].fingerprint_corrupted = true;
+          Quarantine(w, &slots[w]);
+        });
     metrics_.wall_ns = static_cast<uint64_t>(wall.ElapsedSeconds() * 1e9);
-    return std::move(*states[root]);
+    return merged;
   }
 
   const DistMetrics& metrics() const { return metrics_; }
@@ -615,10 +609,33 @@ class ProcessReductionTree {
                      (unsigned long long)(seg_begin + local));
         ::_exit(kWorkerPermanentErrorExit);
       }
-      if (!IngestSegment(w, stream.get(), &state, &counters, &batch,
-                         killable, &batches_seen)) {
+      // The shared drain: an exhausted retry budget truncates the segment
+      // (its last batch still commits) — the pipeline's degradation
+      // semantics; a hard stream error (parse failure) is permanent.
+      RetryBackoff backoff(options_.degradation);
+      const DrainResult drained = DrainStream(
+          *stream, options_.batch_size, backoff, &batch, [&](EdgeBatch& b) {
+            if (killable && inj->WorkerDiesAt(w, batches_seen)) {
+              std::fprintf(stderr,
+                           "dist: worker %u killed by fault plan at batch "
+                           "%llu\n",
+                           w, (unsigned long long)batches_seen);
+              ::_exit(kWorkerKilledExit);
+            }
+            ++batches_seen;
+            b.Prefold();
+            state.ProcessBatch(b.View());
+            counters.edges_ingested += b.size();
+            counters.edges_processed += b.size();
+            counters.batches += 1;
+          });
+      counters.stream_retries += drained.retries;
+      if (drained.end == DrainEnd::kError) {
+        std::fprintf(stderr, "dist: worker %u stream error: %s\n", w,
+                     stream->StatusMessage().c_str());
         ::_exit(kWorkerPermanentErrorExit);
       }
+      counters.truncated_segments += drained.end == DrainEnd::kTruncated;
       ++counters.segments_done;
       const uint64_t committed = local + 1;
       if (!ckpt_path.empty() && committed < owned &&
@@ -656,60 +673,6 @@ class ProcessReductionTree {
           return frame;
         });
     ::_exit(shipped ? kWorkerOkExit : kWorkerPermanentErrorExit);
-  }
-
-  // Batched ingest of one segment with bounded retry on transient errors.
-  // Returns false on a non-transient stream error (parse failure).
-  bool IngestSegment(uint32_t w, EdgeStream* stream, State* state,
-                     WorkerCounters* counters, EdgeBatch* batch,
-                     bool killable, uint64_t* batches_seen) {
-    const FaultInjector* inj = options_.fault_injector;
-    RetryBackoff backoff(options_.degradation);
-    for (;;) {
-      batch->Clear();
-      Edge e;
-      bool at_end = false;
-      while (batch->size() < options_.batch_size) {
-        if (stream->Next(&e)) {
-          batch->edges.push_back(e);
-          backoff.Reset();
-          continue;
-        }
-        if (stream->ok()) {
-          at_end = true;
-          break;
-        }
-        if (!stream->transient()) {
-          std::fprintf(stderr, "dist: worker %u stream error: %s\n", w,
-                       stream->StatusMessage().c_str());
-          return false;
-        }
-        if (!backoff.Retry()) {
-          // Retry budget exhausted: truncate the segment (the in-flight
-          // batch still commits) — the pipeline's degradation semantics.
-          counters->truncated_segments += 1;
-          at_end = true;
-          break;
-        }
-        counters->stream_retries += 1;
-      }
-      if (!batch->empty()) {
-        if (killable && inj->WorkerDiesAt(w, *batches_seen)) {
-          std::fprintf(stderr,
-                       "dist: worker %u killed by fault plan at batch "
-                       "%llu\n",
-                       w, (unsigned long long)*batches_seen);
-          ::_exit(kWorkerKilledExit);
-        }
-        ++*batches_seen;
-        batch->Prefold();
-        state->ProcessBatch(batch->View());
-        counters->edges_ingested += batch->size();
-        counters->edges_processed += batch->size();
-        counters->batches += 1;
-      }
-      if (at_end) return true;
-    }
   }
 
   DistOptions options_;

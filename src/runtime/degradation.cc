@@ -28,6 +28,36 @@ bool RetryBackoff::Retry() {
   return true;
 }
 
+DrainResult DrainStream(EdgeStream& stream, size_t batch_size,
+                        RetryBackoff& backoff, EdgeBatch* batch,
+                        const std::function<void(EdgeBatch&)>& sink) {
+  DrainResult result;
+  std::vector<Edge> rest;  // a read that resumes a partly filled batch
+  batch->Clear();
+  for (;;) {
+    std::vector<Edge>* into = batch->empty() ? &batch->edges : &rest;
+    const size_t got = stream.NextBatch(into, batch_size - batch->size());
+    if (into == &rest) {
+      batch->edges.insert(batch->edges.end(), rest.begin(), rest.end());
+    }
+    if (got > 0) backoff.Reset();
+    if (!batch->empty() && (batch->size() == batch_size || stream.ok())) {
+      sink(*batch);
+      batch->Clear();
+    }
+    if (stream.ok()) {
+      if (got == 0) break;
+    } else if (stream.transient() && backoff.Retry()) {
+      ++result.retries;
+    } else {
+      result.end = stream.transient() ? DrainEnd::kTruncated : DrainEnd::kError;
+      break;
+    }
+  }
+  if (!batch->empty()) sink(*batch);
+  return result;
+}
+
 FingerprintVote VoteFingerprints(const std::vector<uint64_t>& fingerprints,
                                  const std::vector<uint8_t>& voting) {
   CHECK_EQ(fingerprints.size(), voting.size());

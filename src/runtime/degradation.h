@@ -1,15 +1,22 @@
-// The degradation policy every ingest engine shares: the thread pipeline,
-// inline serving, the dist worker and its TCP dial retry transient
-// failures under one RetryBackoff, and the pipeline and the process tree
-// quarantine merge-fingerprint minorities through one vote and one
-// quarantine verdict. Each caller keeps its own action for an exhausted
-// retry budget.
+// The degradation policy every ingest engine shares. Every stream read —
+// the pipeline producer, inline serving, the dist worker and the CLI's
+// inline passes — goes through DrainStream, which retries transient
+// failures under one RetryBackoff (the TCP dial is the only other
+// RetryBackoff user). Both reduction engines quarantine merge-fingerprint
+// minorities through one vote and one quarantine verdict, which
+// ReduceReplicas (runtime/reduction_tree.h) applies. Each caller keeps its
+// own action for an exhausted retry budget.
 
 #ifndef STREAMKC_RUNTIME_DEGRADATION_H_
 #define STREAMKC_RUNTIME_DEGRADATION_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
+
+#include "runtime/edge_batch.h"
+#include "stream/edge_stream.h"
 
 namespace streamkc {
 
@@ -56,6 +63,31 @@ class RetryBackoff {
   uint64_t next_ns_;
   uint32_t retries_ = 0;
 };
+
+// How a DrainStream pass ended.
+enum class DrainEnd {
+  kEnd,        // clean end of stream
+  kTruncated,  // a transient error outlived the retry budget
+  kError,      // a hard (non-transient) stream error
+};
+
+struct DrainResult {
+  DrainEnd end = DrainEnd::kEnd;
+  uint64_t retries = 0;  // transient errors retried
+};
+
+// Reads `stream` to its end in batches of up to `batch_size` edges and
+// hands each non-empty batch, in stream order, to `sink`. A batch goes out
+// when it is full or when a read ends without error (a short read: the
+// end of the stream, or a source that hands out smaller chunks); a batch
+// interrupted by a transient error keeps filling after `backoff` retries,
+// so batch boundaries never depend on where errors fall. The backoff
+// resets after every read that yields edges. A batch cut short by an
+// exhausted budget or a hard error is still delivered before the drain
+// returns; the stream keeps its error state for the caller to report.
+DrainResult DrainStream(EdgeStream& stream, size_t batch_size,
+                        RetryBackoff& backoff, EdgeBatch* batch,
+                        const std::function<void(EdgeBatch&)>& sink);
 
 struct FingerprintVote {
   uint64_t majority = 0;

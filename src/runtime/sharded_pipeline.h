@@ -7,9 +7,10 @@
 //   producer 1 ──┼─ parse + route ─┼─ lane(1,s) ─┼─▶ worker s: replica s ─┐
 //   producer P-1─┘  + prefold      └─ lane(P-1,s)┘      (round-robins its │
 //                                                        P input lanes)   │
-//                                                     join ─▶ merge ◀─────┘
-//                                                     coordinator (fold in
-//                                                     shard order 0←1←2…)
+//                                                     join ─▶ reduce ◀────┘
+//                                                     coordinator (vote, then
+//                                                     fold in shard order
+//                                                     0←1←2…)
 //
 // Each (producer, shard) pair owns one SpscRing lane, so the whole P×N
 // lattice preserves the single-producer/single-consumer invariant without
@@ -51,14 +52,19 @@
 // EdgeBatch, so the steady-state flush path performs zero allocations
 // (metrics.batches_recycled tracks the recycle hit rate).
 //
-// Degradation (runtime/degradation.h, injectable via src/fault): transient
-// stream errors retry under RetryBackoff and an exhausted budget truncates
-// that producer's pass; a dead worker's lanes keep draining (so
+// Degradation (runtime/degradation.h, injectable via src/fault): each
+// producer reads through DrainStream, the drain every engine shares, so
+// transient stream errors retry under RetryBackoff and an exhausted budget
+// truncates that producer's pass. A dead worker's lanes keep draining (so
 // backpressure cannot deadlock) but its shard is QUARANTINED out of the
-// merge, as is the minority of a VoteFingerprints over the shards'
-// MergeFingerprint(). Quarantine counts land in RuntimeMetrics so drivers
-// can discount the estimate's confidence; every strict exit happens AFTER
-// the rings are closed and all worker threads joined.
+// merge. After the join, ReduceReplicas (runtime/reduction_tree.h, the
+// reduce the process tree runs too) quarantines the minority of a vote
+// over the shards' MergeFingerprint() and folds the survivors as a
+// one-level tree of arity num_shards: root = lowest healthy shard, the
+// others merged into it in shard order. Quarantine counts land in
+// RuntimeMetrics so callers can discount the estimate's confidence; every
+// strict exit happens AFTER the rings are closed and all worker threads
+// joined.
 
 #ifndef STREAMKC_RUNTIME_SHARDED_PIPELINE_H_
 #define STREAMKC_RUNTIME_SHARDED_PIPELINE_H_
@@ -81,6 +87,7 @@
 #include "obs/space_accountant.h"
 #include "runtime/degradation.h"
 #include "runtime/edge_batch.h"
+#include "runtime/reduction_tree.h"
 #include "runtime/runtime_metrics.h"
 #include "runtime/shard_router.h"
 #include "runtime/spsc_ring.h"
@@ -253,43 +260,31 @@ class ShardedPipeline {
       lat.ring(p, s).Push(std::move(accum[s]));
       accum[s] = std::move(next);
     };
-    // Transient stream errors retry under the shared backoff; the budget
-    // resets once per successful batch read, never per edge.
+    // The shared drain retries transient stream errors; an exhausted budget
+    // or a hard error truncates this producer's pass, and the error reaches
+    // the caller through the stream / producer_status(). Strict handling
+    // happens on the coordinator AFTER rings close and workers join.
     RetryBackoff backoff(options_.degradation, retry_backoff_hist);
-    std::vector<Edge> read_buf;
-    ProducerStatus status;
-    for (;;) {
-      size_t got = stream.NextBatch(&read_buf, options_.batch_size);
-      if (got > 0) {
-        backoff.Reset();
-        metrics_.edges_ingested.fetch_add(got, std::memory_order_relaxed);
-        pm.edges.fetch_add(got, std::memory_order_relaxed);
-        for (const Edge& e : read_buf) {
-          uint32_t s = router.ShardOf(e);
-          accum[s].edges.push_back(e);
-          if (accum[s].edges.size() >= options_.batch_size) flush(s);
-        }
-      }
-      if (stream.ok()) {
-        if (got == 0) break;  // end of stream
-        continue;
-      }
-      // Retry: the next NextBatch() call clears the error and resumes.
-      if (stream.transient() && backoff.Retry()) {
-        metrics_.stream_retries.fetch_add(1, std::memory_order_relaxed);
-        pm.stream_retries.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      // Unrecoverable (parse error, or transient budget exhausted): this
-      // producer's pass is truncated and the error surfaces to the driver
-      // through the stream / producer_status(). Strict handling happens on
-      // the coordinator AFTER rings close and workers join.
-      break;
-    }
+    EdgeBatch read_buf;
+    const DrainResult drained = DrainStream(
+        stream, options_.batch_size, backoff, &read_buf, [&](EdgeBatch& b) {
+          metrics_.edges_ingested.fetch_add(b.size(),
+                                            std::memory_order_relaxed);
+          pm.edges.fetch_add(b.size(), std::memory_order_relaxed);
+          for (const Edge& e : b.edges) {
+            uint32_t s = router.ShardOf(e);
+            accum[s].edges.push_back(e);
+            if (accum[s].edges.size() >= options_.batch_size) flush(s);
+          }
+        });
+    metrics_.stream_retries.fetch_add(drained.retries,
+                                      std::memory_order_relaxed);
+    pm.stream_retries.fetch_add(drained.retries, std::memory_order_relaxed);
     for (uint32_t s = 0; s < n; ++s) {
       if (!accum[s].empty()) flush(s);
     }
     for (uint32_t s = 0; s < n; ++s) lat.ring(p, s).Close();
+    ProducerStatus status;
     status.ok = stream.ok();
     status.transient = stream.transient();
     status.retries_used = backoff.retries();
@@ -318,9 +313,10 @@ class ShardedPipeline {
     // Replicas are constructed in shard order on the coordinator thread,
     // then each is handed to its worker (the thread start is the
     // happens-before edge; the join hands it back for merging).
-    std::vector<State> states;
-    states.reserve(n);
-    for (uint32_t s = 0; s < n; ++s) states.push_back(factory_(s));
+    std::vector<std::unique_ptr<State>> states(n);
+    for (uint32_t s = 0; s < n; ++s) {
+      states[s] = std::make_unique<State>(factory_(s));
+    }
 
     Lattice lat(P, n, options_.queue_capacity);
 
@@ -340,7 +336,7 @@ class ShardedPipeline {
       workers.emplace_back([this, s, P, &lat, &states, &shard_accts, injector,
                             &worker_died, batch_busy_hist, batch_edges_hist] {
         RuntimeMetrics::PerShard& ps = metrics_.shard(s);
-        State& state = states[s];
+        State& state = *states[s];
         SpaceAccountant& acct = shard_accts[s];
         const uint32_t sample_every = options_.space_sample_every_batches;
         uint32_t batches_since_sample = 0;
@@ -500,86 +496,69 @@ class ShardedPipeline {
       if constexpr (requires(const State& st) {
                       { st.MemoryBytes() } -> std::convertible_to<size_t>;
                     }) {
-        metrics_.shard(s).state_bytes.store(states[s].MemoryBytes(),
+        metrics_.shard(s).state_bytes.store(states[s]->MemoryBytes(),
                                             std::memory_order_relaxed);
       }
       accountant_.Absorb(shard_accts[s]);
     }
 
-    // Quarantine verdicts, decided single-threaded after the join.
-    // (1) Dead workers: their replicas stopped mid-substream and must not
-    // be folded — the merged state would silently under-count.
-    std::vector<uint8_t> quarantined(n, 0);
+    // Quarantine verdicts, decided single-threaded after the join. Dead
+    // workers' replicas stopped mid-substream and never vote — folding them
+    // would silently under-count. When State exposes a fingerprint, the
+    // rest vote on it (majority, not shard 0, so a corrupt root loses);
+    // otherwise every fingerprint is 0 and all agree.
+    std::vector<uint8_t> healthy(n, 1);
+    std::vector<uint64_t> fps(n, 0);
     for (uint32_t s = 0; s < n; ++s) {
       if (worker_died[s]) {
-        quarantined[s] = 1;
+        healthy[s] = 0;
         metrics_.worker_deaths.fetch_add(1, std::memory_order_relaxed);
       }
-    }
-    // (2) Merge corruption, when State exposes a fingerprint: compare the
-    // replicas' merge preconditions and quarantine the minority view.
-    // Majority vote (instead of trusting shard 0) handles a corrupt root.
-    if constexpr (requires(const State& st) {
-                    { st.MergeFingerprint() } -> std::convertible_to<uint64_t>;
-                  }) {
-      std::vector<uint64_t> fps(n);
-      for (uint32_t s = 0; s < n; ++s) {
-        fps[s] = states[s].MergeFingerprint();
+      if constexpr (requires(const State& st) {
+                      { st.MergeFingerprint() } -> std::convertible_to<uint64_t>;
+                    }) {
+        fps[s] = states[s]->MergeFingerprint();
         if (injector != nullptr && injector->CorruptsMergeFingerprint(s)) {
           fps[s] ^= 0xD1E7C0DEDEADBEEFull;  // injected corruption
           injector->Count(FaultInjector::kFaultMergeCorruption);
         }
       }
-      std::vector<uint8_t> voting(n);
-      for (uint32_t s = 0; s < n; ++s) voting[s] = !quarantined[s];
-      for (uint32_t s : VoteFingerprints(fps, voting).minority) {
-        quarantined[s] = 1;
-        metrics_.merge_corruptions_detected.fetch_add(
-            1, std::memory_order_relaxed);
-      }
     }
-    uint32_t num_quarantined = 0;
+    // One level folding every survivor into the lowest in shard order.
+    MergeTreeStats tree;
+    State merged = ReduceReplicas<State>(
+        fps, &healthy, options_.degradation, "shards", std::max(2u, n), &tree,
+        [&](uint32_t s) { return std::move(states[s]); },
+        [&](uint32_t, uint64_t) {
+          metrics_.merge_corruptions_detected.fetch_add(
+              1, std::memory_order_relaxed);
+        });
     for (uint32_t s = 0; s < n; ++s) {
-      if (!quarantined[s]) continue;
-      ++num_quarantined;
-      metrics_.shard(s).quarantined.store(1, std::memory_order_relaxed);
+      metrics_.shard(s).quarantined.store(!healthy[s],
+                                          std::memory_order_relaxed);
     }
-    metrics_.shards_quarantined.store(num_quarantined,
-                                      std::memory_order_relaxed);
-    ExitIfQuarantineFatal(deg, num_quarantined, n, "shards");
-
-    // Merge coordinator: fold the healthy shards in fixed shard order (root
-    // = lowest healthy shard) for determinism.
-    uint32_t root = 0;
-    while (quarantined[root]) ++root;
-    auto merge_start = std::chrono::steady_clock::now();
-    for (uint32_t s = root + 1; s < n; ++s) {
-      if (quarantined[s]) continue;
-      states[root].Merge(states[s]);
-      metrics_.merges.fetch_add(1, std::memory_order_relaxed);
-    }
-    metrics_.merge_ns.store(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - merge_start)
-            .count(),
+    metrics_.shards_quarantined.store(
+        std::count(healthy.begin(), healthy.end(), 0),
         std::memory_order_relaxed);
+    metrics_.merges.store(tree.merges, std::memory_order_relaxed);
+    metrics_.merge_ns.store(tree.merge_ns, std::memory_order_relaxed);
     if constexpr (requires(const State& st) {
                     { st.MemoryBytes() } -> std::convertible_to<size_t>;
                   }) {
-      metrics_.merged_state_bytes.store(states[root].MemoryBytes(),
+      metrics_.merged_state_bytes.store(merged.MemoryBytes(),
                                         std::memory_order_relaxed);
     }
     // Current footprint after the fold = the merged state alone; the peak
     // (sum of simultaneous shard peaks, absorbed above) is retained.
     if constexpr (std::derived_from<State, SpaceMetered>) {
-      accountant_.Sample(states[root]);
+      accountant_.Sample(merged);
     }
     metrics_.wall_ns.store(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - run_start)
             .count(),
         std::memory_order_relaxed);
-    return std::move(states[root]);
+    return merged;
   }
 
   ShardedPipelineOptions options_;

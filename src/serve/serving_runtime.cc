@@ -1,6 +1,7 @@
 #include "serve/serving_runtime.h"
 
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "runtime/edge_batch.h"
@@ -35,6 +36,7 @@ ServingRuntime::ServingRuntime(const ServingState::Config& state_config,
   edges_ingested_ = reg->GetCounter("serve_ingest_edges_total");
   segments_total_ = reg->GetCounter("serve_ingest_segments_total");
   publish_ns_ = reg->GetHistogram("serve_publish_ns");
+  retry_backoff_ns_ = reg->GetHistogram("runtime_retry_backoff_ns");
 }
 
 void ServingRuntime::PublishSnapshot(IngestSummary* summary) {
@@ -56,94 +58,24 @@ void ServingRuntime::PublishSnapshot(IngestSummary* summary) {
 
 IngestSummary ServingRuntime::Ingest(EdgeStream& stream) {
   uint64_t t0 = NowSteadyNs();
-  IngestSummary summary = options_.threads == 0 ? IngestInline(stream)
-                                                : IngestSharded(stream);
-  summary.ingest_ns = NowSteadyNs() - t0;
-  summary.stream_ok = stream.ok();
-  if (!summary.stream_ok) summary.stream_error = stream.StatusMessage();
-  return summary;
-}
-
-IngestSummary ServingRuntime::IngestInline(EdgeStream& stream) {
   IngestSummary summary;
-  // The sharded path's pipelines record into the same histogram.
-  MetricsRegistry* reg =
-      options_.registry ? options_.registry : &MetricsRegistry::Global();
-  RetryBackoff backoff(options_.degradation,
-                       reg->GetHistogram("runtime_retry_backoff_ns"));
-  uint64_t segment_edges = 0;
-  EdgeBatch batch(options_.batch_size);
-  for (;;) {
-    // Cap the read so a segment boundary always falls exactly on the
-    // snapshot cadence — the epoch-E differential guarantee depends on it.
-    uint64_t room = options_.snapshot_every_edges - segment_edges;
-    size_t want = options_.batch_size < room
-                      ? options_.batch_size
-                      : static_cast<size_t>(room);
-    size_t got = stream.NextBatch(&batch.edges, want);
-    if (got > 0) {
-      backoff.Reset();
-      batch.Prefold();
-      state_.ProcessBatch(batch.View());
-      edges_ingested_->Increment(got);
-      summary.edges += got;
-      segment_edges += got;
-      if (segment_edges >= options_.snapshot_every_edges) {
-        segment_edges = 0;
-        ++summary.segments;
-        segments_total_->Increment();
-        PublishSnapshot(&summary);
-      }
-      continue;
-    }
-    if (!stream.ok() && stream.transient() && backoff.Retry()) continue;
-    break;  // end of stream, a hard error, or an exhausted retry budget
-  }
-  // A trailing partial segment still publishes, so the final snapshot
-  // always covers the entire stream.
-  if (segment_edges > 0) {
-    ++summary.segments;
-    segments_total_->Increment();
-    PublishSnapshot(&summary);
-  }
-  return summary;
-}
-
-IngestSummary ServingRuntime::IngestSharded(EdgeStream& stream) {
-  IngestSummary summary;
-  ShardedPipelineOptions popts;
-  popts.num_shards = options_.threads;
-  popts.batch_size = options_.batch_size;
-  popts.policy = options_.policy;
-  popts.registry = options_.registry;
-  popts.fault_injector = options_.fault_injector;
-  popts.degradation = options_.degradation;
-
-  const ServingState::Config config = state_config_;
-  ShardedPipeline<ServingState>::Factory factory =
-      [config](uint32_t) { return ServingState(config); };
-
+  // Each segment is the bounded view's next snapshot_every_edges edges, so
+  // a segment boundary always falls exactly on the snapshot cadence — the
+  // epoch-E differential guarantee depends on it. A trailing partial
+  // segment still publishes, so the final snapshot always covers the
+  // entire stream.
   BoundedEdgeStream bounded(&stream, options_.snapshot_every_edges);
-  uint32_t shard_runs_total = 0;
   for (;;) {
     bounded.Rearm();
-    // One segment = one full pipeline run over the bounded view: the
-    // degradation machinery (retries, quarantine, fingerprint votes) is
-    // reused unchanged at every snapshot boundary.
-    ShardedPipeline<ServingState> pipeline(popts, factory);
-    ServingState segment = pipeline.Run(bounded);
-    const RuntimeMetrics& rm = pipeline.metrics();
-    uint64_t got = rm.edges_ingested.load(std::memory_order_relaxed);
+    // A sharded segment's merged state lives until after its publish:
+    // freeing it first slows the publish's finalize (by ~16% on the
+    // serve-mixed benchmark workload).
+    std::optional<ServingState> sharded;
+    const uint64_t got =
+        options_.threads == 0
+            ? IngestSegmentInline(bounded)
+            : IngestSegmentSharded(bounded, &summary, &sharded);
     if (got == 0) break;  // end of stream or unrecoverable error
-    // Only segments that saw edges count toward the quarantine fraction —
-    // an empty trailing run has no substreams to lose.
-    shard_runs_total += options_.threads;
-    summary.shard_runs_quarantined += static_cast<uint32_t>(
-        rm.shards_quarantined.load(std::memory_order_relaxed));
-    summary.quarantined_fraction =
-        static_cast<double>(summary.shard_runs_quarantined) /
-        static_cast<double>(shard_runs_total);
-    state_.Merge(segment);
     edges_ingested_->Increment(got);
     summary.edges += got;
     ++summary.segments;
@@ -151,7 +83,56 @@ IngestSummary ServingRuntime::IngestSharded(EdgeStream& stream) {
     PublishSnapshot(&summary);
     if (!stream.ok()) break;  // truncated segment: error already surfaced
   }
+  summary.ingest_ns = NowSteadyNs() - t0;
+  summary.stream_ok = stream.ok();
+  if (!summary.stream_ok) summary.stream_error = stream.StatusMessage();
   return summary;
+}
+
+uint64_t ServingRuntime::IngestSegmentInline(EdgeStream& segment) {
+  // The sharded path's pipelines record into the same histogram.
+  RetryBackoff backoff(options_.degradation, retry_backoff_ns_);
+  EdgeBatch batch(options_.batch_size);
+  uint64_t got = 0;
+  DrainStream(segment, options_.batch_size, backoff, &batch,
+              [&](EdgeBatch& b) {
+                b.Prefold();
+                state_.ProcessBatch(b.View());
+                got += b.size();
+              });
+  return got;
+}
+
+uint64_t ServingRuntime::IngestSegmentSharded(
+    EdgeStream& segment, IngestSummary* summary,
+    std::optional<ServingState>* merged) {
+  ShardedPipelineOptions popts;
+  popts.num_shards = options_.threads;
+  popts.batch_size = options_.batch_size;
+  popts.policy = options_.policy;
+  popts.registry = options_.registry;
+  popts.fault_injector = options_.fault_injector;
+  popts.degradation = options_.degradation;
+  const ServingState::Config config = state_config_;
+  // One segment = one full pipeline run over the bounded view: the
+  // degradation machinery (retries, quarantine, fingerprint votes) is
+  // reused unchanged at every snapshot boundary.
+  ShardedPipeline<ServingState> pipeline(
+      popts, [config](uint32_t) { return ServingState(config); });
+  merged->emplace(pipeline.Run(segment));
+  const RuntimeMetrics& rm = pipeline.metrics();
+  const uint64_t got = rm.edges_ingested.load(std::memory_order_relaxed);
+  if (got == 0) return 0;
+  // Only segments that saw edges count toward the quarantine fraction —
+  // an empty trailing run has no substreams to lose — so the shard runs so
+  // far are this segment's plus every earlier segment's.
+  summary->shard_runs_quarantined += static_cast<uint32_t>(
+      rm.shards_quarantined.load(std::memory_order_relaxed));
+  summary->quarantined_fraction =
+      static_cast<double>(summary->shard_runs_quarantined) /
+      static_cast<double>((summary->segments + 1) * options_.threads);
+  state_.Merge(**merged);
+  return got;
 }
 
 }  // namespace streamkc

@@ -5,17 +5,20 @@
 // SEGMENTS of `snapshot_every_edges` edges and publishes an immutable
 // CoverageSnapshot into a SnapshotStore at every segment boundary, so
 // reader threads can answer queries the whole time the stream is still
-// arriving. Two ingest modes share that loop:
+// arriving. Each segment is a BoundedEdgeStream view of the next
+// `snapshot_every_edges` edges, and the two ingest modes differ only in
+// the per-segment step:
 //
-//   * inline (threads == 0): the calling thread batches + prefolds edges
-//     straight into the cumulative ServingState — the single-core path;
-//   * sharded (threads >= 1): each segment is one ShardedPipeline run over
-//     a bounded view of the stream; the segment's merged state is folded
-//     into the cumulative state with Merge(). Replaying the pipeline per
-//     segment reuses its entire degradation machinery (retry/backoff,
-//     worker-death quarantine, fingerprint votes) unchanged, and the
-//     quarantined fraction accumulates into every later snapshot's
-//     staleness metadata.
+//   * inline (threads == 0): the calling thread drains the segment through
+//     DrainStream (the retrying batch loop every engine shares), prefolds
+//     each batch and feeds it straight into the cumulative ServingState —
+//     the single-core path;
+//   * sharded (threads >= 1): the segment is one ShardedPipeline run, whose
+//     merged state is folded into the cumulative state with Merge().
+//     Replaying the pipeline per segment reuses its entire degradation
+//     machinery (retry/backoff, worker-death quarantine, fingerprint votes)
+//     unchanged, and the quarantined fraction accumulates into every later
+//     snapshot's staleness metadata.
 //
 // Both modes produce the same cumulative state as one uninterrupted pass on
 // the same seeds (segment merges are exact for every streamkc estimator),
@@ -32,12 +35,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
-#include "runtime/shard_router.h"
 #include "runtime/degradation.h"
+#include "runtime/shard_router.h"
 #include "serve/serving_state.h"
 #include "serve/snapshot_store.h"
 #include "stream/edge_stream.h"
@@ -138,8 +142,12 @@ class ServingRuntime {
 
  private:
   void PublishSnapshot(IngestSummary* summary);
-  IngestSummary IngestInline(EdgeStream& stream);
-  IngestSummary IngestSharded(EdgeStream& stream);
+  // The per-segment steps of Ingest(): each drains one bounded segment
+  // into state_ and returns its edge count (0 = nothing left to ingest).
+  // The sharded step leaves the segment's merged state in `merged`.
+  uint64_t IngestSegmentInline(EdgeStream& segment);
+  uint64_t IngestSegmentSharded(EdgeStream& segment, IngestSummary* summary,
+                                std::optional<ServingState>* merged);
 
   ServingState::Config state_config_;
   ServingRuntimeOptions options_;
@@ -150,6 +158,7 @@ class ServingRuntime {
   Counter* edges_ingested_;
   Counter* segments_total_;
   Histogram* publish_ns_;
+  Histogram* retry_backoff_ns_;
 };
 
 }  // namespace streamkc

@@ -15,9 +15,9 @@
 #include <string>
 #include <vector>
 
-#include "dist/reduction_tree.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
+#include "runtime/reduction_tree.h"
 #include "runtime/sketch_states.h"
 #include "test_util.h"
 
@@ -205,6 +205,51 @@ TEST_F(DistDifferential, StreamFaultsInsideWorkersStayDeterministic) {
   EXPECT_GT(first.metrics.TotalEdgesProcessed(), kEdges);  // dups landed
   EXPECT_EQ(first.metrics.TotalEdgesProcessed(),
             second.metrics.TotalEdgesProcessed());
+}
+
+TEST_F(DistDifferential, RetriedReadErrorsLeaveTheMergedBytesUnchanged) {
+  // Transient read errors inside the workers retry under the degradation
+  // backoff: timing-only, so no segment is cut short and the merged bytes
+  // equal the clean inline pass.
+  ScopedWorkerHarness harness(SyntheticEdges(kEdges, /*seed=*/9),
+                              /*num_segments=*/8);
+  FaultInjector injector(FaultPlan::ParseOrDie("seed=13,read-error=0.01"));
+  DistOptions opt;
+  opt.num_workers = 4;
+  opt.fault_injector = &injector;
+  ScopedWorkerHarness::Result dist = harness.RunDist(opt);
+  EXPECT_EQ(dist.state_blob, harness.RunInline().state_blob);
+  EXPECT_GT(dist.metrics.TotalStreamRetries(), 0u);
+  uint64_t truncated = 0;
+  for (const DistWorkerRow& w : dist.metrics.workers) {
+    truncated += w.counters.truncated_segments;
+  }
+  EXPECT_EQ(truncated, 0u);
+  EXPECT_EQ(dist.metrics.TotalEdgesProcessed(), kEdges);
+  EXPECT_EQ(dist.metrics.WorkersQuarantined(), 0u);
+}
+
+TEST_F(DistDifferential, ExhaustedReadRetriesTruncateSegmentsWithoutQuarantine) {
+  // Every read fails: each segment spends its retry budget and is
+  // truncated empty. Truncation is a degradation the worker reports in its
+  // counters, not a failure, so every worker still ships a frame.
+  ScopedWorkerHarness harness(SyntheticEdges(kEdges, /*seed=*/10),
+                              /*num_segments=*/8);
+  FaultInjector injector(FaultPlan::ParseOrDie("seed=13,read-error=1"));
+  DistOptions opt;
+  opt.num_workers = 4;
+  opt.degradation.max_stream_retries = 2;
+  opt.fault_injector = &injector;
+  ScopedWorkerHarness::Result dist = harness.RunDist(opt);
+  uint64_t truncated = 0;
+  for (const DistWorkerRow& w : dist.metrics.workers) {
+    truncated += w.counters.truncated_segments;
+  }
+  EXPECT_EQ(truncated, 8u);
+  EXPECT_EQ(dist.metrics.TotalStreamRetries(), 8u * 2u);
+  EXPECT_EQ(dist.metrics.TotalEdgesProcessed(), 0u);
+  EXPECT_EQ(dist.metrics.WorkersQuarantined(), 0u);
+  EXPECT_EQ(dist.metrics.frames_received, 4u);
 }
 
 // Seed-replayable sweep over kill points and corruption targets; the

@@ -67,6 +67,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -107,8 +110,8 @@ struct Args {
   size_t budget_kb = 0;
   std::string family = "planted";
   std::string out;
-  uint64_t threads = 0;  // 0 = classic in-line pass, N ≥ 1 = sharded runtime
-  uint64_t producers = 1;  // parallel ingest front-end width (needs --threads)
+  uint32_t threads = 0;  // 0 = classic in-line pass, N ≥ 1 = sharded runtime
+  uint32_t producers = 1;  // parallel ingest front-end width (needs --threads)
   bool producers_set = false;
   size_t batch_size = 4096;
   std::string partition = "element";  // routing key: element | set
@@ -125,11 +128,11 @@ struct Args {
   bool query_threads_set = false;
   bool metrics_format_set = false;
   // Sketch-mode (multi-process) knobs; rejected outside the sketch command.
-  uint64_t workers = 0;          // 0 = inline pass, W >= 1 = W processes
-  uint64_t merge_arity = 4;      // reduction-tree fan-in
-  uint64_t checkpoint_every = 0; // committed segments per checkpoint; 0 = off
+  uint32_t workers = 0;          // 0 = inline pass, W >= 1 = W processes
+  uint32_t merge_arity = 4;      // reduction-tree fan-in
+  uint32_t checkpoint_every = 0; // committed segments per checkpoint; 0 = off
   std::string checkpoint_dir;
-  uint64_t segments = 0;         // file segments; 0 = 4 per worker
+  uint32_t segments = 0;         // file segments; 0 = 4 per worker
   std::string transport = "pipe";  // pipe | tcp (frame transport)
   std::string listen_addr;         // tcp: coordinator bind address
   std::string connect_addr;        // tcp: address workers dial
@@ -189,11 +192,22 @@ struct Args {
   std::exit(2);
 }
 
+// Plain decimal digits only: strtoull alone would wrap "-1" to 2^64 - 1.
 uint64_t ParseU64(const char* s) {
   char* end = nullptr;
+  errno = 0;
   uint64_t v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') Usage("bad integer argument");
+  if (*s < '0' || *s > '9' || *end != '\0' || errno == ERANGE) {
+    Usage("bad integer argument");
+  }
   return v;
+}
+
+// Counts the runtime holds as uint32_t (threads, workers, segments, ...).
+uint32_t ParseU32(const char* s) {
+  uint64_t v = ParseU64(s);
+  if (v > UINT32_MAX) Usage("integer argument above 4294967295");
+  return static_cast<uint32_t>(v);
 }
 
 int64_t ParseI64(const char* s) {
@@ -226,7 +240,13 @@ Args Parse(int argc, char** argv) {
     } else if (flag == "--seed") {
       a.seed = ParseU64(next());
     } else if (flag == "--alpha") {
-      a.alpha = static_cast<double>(ParseU64(next()));
+      const char* s = next();
+      char* end = nullptr;
+      a.alpha = std::strtod(s, &end);
+      if (end == s || *end != '\0' || !std::isfinite(a.alpha) ||
+          !(a.alpha >= 1.0)) {
+        Usage("--alpha must be a finite real >= 1");
+      }
     } else if (flag == "--budget-kb") {
       a.budget_kb = ParseU64(next());
     } else if (flag == "--family") {
@@ -234,9 +254,9 @@ Args Parse(int argc, char** argv) {
     } else if (flag == "--out") {
       a.out = next();
     } else if (flag == "--threads") {
-      a.threads = ParseU64(next());
+      a.threads = ParseU32(next());
     } else if (flag == "--producers") {
-      a.producers = ParseU64(next());
+      a.producers = ParseU32(next());
       a.producers_set = true;
       if (a.producers == 0) Usage("--producers must be >= 1");
     } else if (flag == "--batch-size") {
@@ -262,19 +282,19 @@ Args Parse(int argc, char** argv) {
       a.query_threads = ParseU64(next());
       a.query_threads_set = true;
     } else if (flag == "--workers") {
-      a.workers = ParseU64(next());
+      a.workers = ParseU32(next());
       a.workers_set = true;
     } else if (flag == "--merge-arity") {
-      a.merge_arity = ParseU64(next());
+      a.merge_arity = ParseU32(next());
       a.merge_arity_set = true;
       if (a.merge_arity < 2) Usage("--merge-arity must be >= 2");
     } else if (flag == "--checkpoint-every") {
-      a.checkpoint_every = ParseU64(next());
+      a.checkpoint_every = ParseU32(next());
       a.checkpoint_every_set = true;
     } else if (flag == "--checkpoint-dir") {
       a.checkpoint_dir = next();
     } else if (flag == "--segments") {
-      a.segments = ParseU64(next());
+      a.segments = ParseU32(next());
       a.segments_set = true;
       if (a.segments == 0) Usage("--segments must be >= 1");
     } else if (flag == "--transport" ||
@@ -462,7 +482,7 @@ Params MakeParams(const Args& a) {
 
 ShardedPipelineOptions PipelineOptions(const Args& a) {
   ShardedPipelineOptions po;
-  po.num_shards = static_cast<uint32_t>(a.threads);
+  po.num_shards = a.threads;
   po.batch_size = a.batch_size;
   po.policy = a.partition == "set" ? PartitionPolicy::kBySet
                                    : PartitionPolicy::kByElement;
@@ -521,6 +541,52 @@ void DumpMetrics(const Args& a, const RuntimeMetrics* runtime,
   WriteDump(content, a.metrics_out);
 }
 
+// Drains a text stream edge by edge into `process` through the shared
+// drain (text streams never fail transiently, so its retry budget goes
+// unused), then exits on a parse error exactly like CheckStream.
+template <typename ProcessFn>
+void DrainInline(TextEdgeStream& stream, size_t batch_size,
+                 ProcessFn process) {
+  RetryBackoff backoff{DegradationPolicy{}};
+  EdgeBatch batch;
+  DrainStream(stream, batch_size, backoff, &batch, [&](EdgeBatch& b) {
+    for (const Edge& e : b.edges) process(e);
+  });
+  CheckStream(stream);
+}
+
+// The run's --fault-plan: no injector without one. `src` is the stream the
+// run reads — the caller's, or a FaultInjectingStream over it when the
+// plan has stream faults and the caller asked for whole-stream wrapping.
+struct FaultSetup {
+  std::unique_ptr<FaultInjector> injector;
+  std::unique_ptr<FaultInjectingStream> faulted;
+  EdgeStream* src = nullptr;
+
+  // Per-segment wrapping, for runs that read the file as segments.
+  std::unique_ptr<EdgeStream> Wrap(std::unique_ptr<EdgeStream> s) const {
+    if (injector == nullptr || !injector->plan().HasStreamFaults()) return s;
+    return WrapWithFaults(std::move(s), injector.get());
+  }
+};
+
+FaultSetup SetupFaults(const Args& a, EdgeStream* stream, bool wrap_stream) {
+  FaultSetup f;
+  f.src = stream;
+  if (a.fault_plan.empty()) return f;
+  FaultPlan plan;
+  std::string err;
+  if (!FaultPlan::Parse(a.fault_plan, &plan, &err)) Usage(err.c_str());
+  f.injector = std::make_unique<FaultInjector>(plan, &MetricsRegistry::Global());
+  std::printf("fault plan         : %s%s\n", plan.ToSpec().c_str(),
+              a.fault_strict ? " (strict)" : "");
+  if (wrap_stream && plan.HasStreamFaults()) {
+    f.faulted = std::make_unique<FaultInjectingStream>(stream, f.injector.get());
+    f.src = f.faulted.get();
+  }
+  return f;
+}
+
 // What a pass reports back to its command besides the estimator state.
 struct PassStats {
   size_t peak_bytes = 0;  // peak sketch footprint (SpaceAccountant)
@@ -540,58 +606,35 @@ template <typename State, typename MakeFn>
 State RunPass(const Args& a, MakeFn make, PassStats* stats) {
   TextEdgeStream stream(a.file, StreamConfig(a));
   if (a.threads == 0) {
-    if (!a.fault_plan.empty()) Usage("--fault-plan needs --threads >= 1");
     State st = make();
     SpaceAccountant acct(&MetricsRegistry::Global());
-    Edge e;
     uint64_t count = 0;
-    while (stream.Next(&e)) {
+    DrainInline(stream, a.batch_size, [&](const Edge& e) {
       st.Process(e);
       if ((++count & 0xFFFFu) == 0) acct.Sample(st);
-    }
-    CheckStream(stream);
+    });
     acct.Sample(st);
     stats->peak_bytes = acct.peak_total_bytes();
     DumpMetrics(a, nullptr, &acct);
     return st;
   }
   ShardedPipelineOptions po = PipelineOptions(a);
-  std::unique_ptr<FaultInjector> injector;
-  std::unique_ptr<FaultInjectingStream> faulted;
-  EdgeStream* src = &stream;
-  if (!a.fault_plan.empty()) {
-    FaultPlan plan;
-    std::string err;
-    if (!FaultPlan::Parse(a.fault_plan, &plan, &err)) Usage(err.c_str());
-    injector =
-        std::make_unique<FaultInjector>(plan, &MetricsRegistry::Global());
-    po.fault_injector = injector.get();
-    po.degradation.strict = a.fault_strict;
-    std::printf("fault plan         : %s%s\n", plan.ToSpec().c_str(),
-                a.fault_strict ? " (strict)" : "");
-    // With multiple producers the fault wrapping happens per segment below;
-    // here only the single whole-file stream is wrapped.
-    if (plan.HasStreamFaults() && a.producers <= 1) {
-      faulted = std::make_unique<FaultInjectingStream>(&stream, injector.get());
-      src = faulted.get();
-    }
-  }
-  po.num_producers = static_cast<uint32_t>(a.producers);
+  // With multiple producers the fault wrapping happens per segment below;
+  // here only the single whole-file stream is wrapped.
+  const FaultSetup faults = SetupFaults(a, &stream, a.producers <= 1);
+  po.fault_injector = faults.injector.get();
+  po.degradation.strict = a.fault_strict;
+  po.num_producers = a.producers;
   ShardedPipeline<State> pipe(po, [&](uint32_t) { return make(); });
   State st = [&] {
-    if (po.num_producers <= 1) return pipe.Run(*src);
+    if (po.num_producers <= 1) return pipe.Run(*faults.src);
     // Multi-producer front-end: split the file into newline-aligned
     // segments, one independently-owned stream per producer thread. Fault
     // wrapping is per segment, so injected stream faults stay deterministic
     // for a given (file, P, plan).
     SegmentedTextStream seg(a.file, po.num_producers, StreamConfig(a));
-    const FaultInjector* inj = injector.get();
-    return pipe.RunSegmented([&](uint32_t p) -> std::unique_ptr<EdgeStream> {
-      std::unique_ptr<EdgeStream> s = seg.OpenSegment(p);
-      if (inj != nullptr && inj->plan().HasStreamFaults()) {
-        s = WrapWithFaults(std::move(s), inj);
-      }
-      return s;
+    return pipe.RunSegmented([&](uint32_t p) {
+      return faults.Wrap(seg.OpenSegment(p));
     });
   }();
   if (po.num_producers <= 1) {
@@ -605,7 +648,7 @@ State RunPass(const Args& a, MakeFn make, PassStats* stats) {
         std::fprintf(stderr, "error: %s\n", ps.message.c_str());
         std::exit(1);
       }
-      if (!ps.ok && ps.transient && injector != nullptr) {
+      if (!ps.ok && ps.transient && faults.injector != nullptr) {
         std::printf("fault: segment truncated: %s\n", ps.message.c_str());
       }
     }
@@ -627,7 +670,8 @@ State RunPass(const Args& a, MakeFn make, PassStats* stats) {
               (unsigned long long)m.queue_full_stalls.load(
                   std::memory_order_relaxed),
               (unsigned long long)m.TotalBatchesRecycled());
-  if (injector != nullptr) {
+  if (faults.injector != nullptr) {
+    const FaultInjectingStream* faulted = faults.faulted.get();
     if (faulted != nullptr && !faulted->ok()) {
       // Transient budget exhausted: the pass was truncated, which is a
       // degradation (reported), not a driver error.
@@ -744,30 +788,15 @@ int CmdServe(const Args& a) {
   SnapshotStore store("cli");
   ServingRuntimeOptions opts;
   opts.snapshot_every_edges = a.snapshot_every;
-  opts.threads = static_cast<uint32_t>(a.threads);
+  opts.threads = a.threads;
   opts.batch_size = a.batch_size;
   opts.policy = a.partition == "set" ? PartitionPolicy::kBySet
                                      : PartitionPolicy::kByElement;
 
   TextEdgeStream stream(a.file, StreamConfig(a));
-  std::unique_ptr<FaultInjector> injector;
-  std::unique_ptr<FaultInjectingStream> faulted;
-  EdgeStream* src = &stream;
-  if (!a.fault_plan.empty()) {
-    FaultPlan plan;
-    std::string err;
-    if (!FaultPlan::Parse(a.fault_plan, &plan, &err)) Usage(err.c_str());
-    injector =
-        std::make_unique<FaultInjector>(plan, &MetricsRegistry::Global());
-    opts.fault_injector = injector.get();
-    opts.degradation.strict = a.fault_strict;
-    std::printf("fault plan         : %s%s\n", plan.ToSpec().c_str(),
-                a.fault_strict ? " (strict)" : "");
-    if (plan.HasStreamFaults()) {
-      faulted = std::make_unique<FaultInjectingStream>(&stream, injector.get());
-      src = faulted.get();
-    }
-  }
+  const FaultSetup faults = SetupFaults(a, &stream, /*wrap_stream=*/true);
+  opts.fault_injector = faults.injector.get();
+  opts.degradation.strict = a.fault_strict;
 
   ServingRuntime runtime(sc, opts, &store);
   QueryEngine engine(&store);
@@ -798,7 +827,7 @@ int CmdServe(const Args& a) {
   }
 
   Stopwatch sw;
-  IngestSummary sum = runtime.Ingest(*src);
+  IngestSummary sum = runtime.Ingest(*faults.src);
   double seconds = sw.ElapsedSeconds();
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : readers) t.join();
@@ -873,13 +902,11 @@ int CmdSketch(const Args& a) {
     TextEdgeStream stream(a.file, StreamConfig(a));
     CoverageSketchState state(config);
     Stopwatch sw;
-    Edge e;
     uint64_t edges = 0;
-    while (stream.Next(&e)) {
+    DrainInline(stream, a.batch_size, [&](const Edge& e) {
       state.Process(e);
       ++edges;
-    }
-    CheckStream(stream);
+    });
     std::printf("sketch             : inline pass, %llu edges in %.2fs\n",
                 (unsigned long long)edges, sw.ElapsedSeconds());
     std::printf("distinct covered   : %.0f (L0), %.0f (HLL)\n",
@@ -894,45 +921,29 @@ int CmdSketch(const Args& a) {
     return 0;
   }
 
-  const uint32_t num_segments = static_cast<uint32_t>(
-      a.segments != 0 ? a.segments : a.workers * 4);
+  const uint32_t num_segments =
+      a.segments != 0 ? a.segments : a.workers * 4;
   SegmentedTextStream seg(a.file, num_segments, StreamConfig(a));
 
   DistOptions opt;
-  opt.num_workers = static_cast<uint32_t>(a.workers);
-  opt.merge_arity = static_cast<uint32_t>(a.merge_arity);
+  opt.num_workers = a.workers;
+  opt.merge_arity = a.merge_arity;
   opt.batch_size = a.batch_size;
-  opt.checkpoint_every = static_cast<uint32_t>(a.checkpoint_every);
+  opt.checkpoint_every = a.checkpoint_every;
   opt.checkpoint_dir = a.checkpoint_dir;
   opt.degradation.strict = a.fault_strict;
   CHECK(ParseTransportKind(a.transport, &opt.transport.kind));
   if (!a.listen_addr.empty()) opt.transport.listen_addr = a.listen_addr;
   opt.transport.connect_addr = a.connect_addr;
   opt.poll_timeout_ms = static_cast<int>(a.poll_timeout_ms);
-  std::unique_ptr<FaultInjector> injector;
-  if (!a.fault_plan.empty()) {
-    FaultPlan plan;
-    std::string err;
-    if (!FaultPlan::Parse(a.fault_plan, &plan, &err)) Usage(err.c_str());
-    injector =
-        std::make_unique<FaultInjector>(plan, &MetricsRegistry::Global());
-    opt.fault_injector = injector.get();
-    std::printf("fault plan         : %s%s\n", plan.ToSpec().c_str(),
-                a.fault_strict ? " (strict)" : "");
-  }
+  const FaultSetup faults = SetupFaults(a, nullptr, /*wrap_stream=*/false);
+  opt.fault_injector = faults.injector.get();
 
   ProcessReductionTree<CoverageSketchState> tree(
       opt, [config](uint32_t) { return CoverageSketchState(config); });
-  const FaultInjector* inj = injector.get();
   Stopwatch sw;
-  CoverageSketchState state =
-      tree.Run(num_segments, [&](uint32_t s) -> std::unique_ptr<EdgeStream> {
-        std::unique_ptr<EdgeStream> stream = seg.OpenSegment(s);
-        if (inj != nullptr && inj->plan().HasStreamFaults()) {
-          stream = WrapWithFaults(std::move(stream), inj);
-        }
-        return stream;
-      });
+  CoverageSketchState state = tree.Run(
+      num_segments, [&](uint32_t s) { return faults.Wrap(seg.OpenSegment(s)); });
   const DistMetrics& dm = tree.metrics();
   std::printf("sketch             : %u workers -> %u segments "
               "(arity-%u merge tree, depth %u), %.2fM edges/s\n",
@@ -956,7 +967,7 @@ int CmdSketch(const Args& a) {
                 (unsigned long long)dm.TotalCheckpointsLoaded(),
                 opt.checkpoint_every, opt.checkpoint_dir.c_str());
   }
-  if (injector != nullptr || dm.TotalRespawns() > 0 ||
+  if (faults.injector != nullptr || dm.TotalRespawns() > 0 ||
       dm.WorkersQuarantined() > 0) {
     std::printf("recovery           : %u respawns, %u crc rejections, "
                 "%u fingerprint corruptions, %u/%u workers quarantined\n",
