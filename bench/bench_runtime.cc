@@ -308,7 +308,8 @@ int Main(int argc, char** argv) {
     wtable.AddRow(
         {Fmt("%u", workers), Fmt("%.2fM", eps / 1e6),
          Fmt("%.2fx", eps / base_eps),
-         Fmt("%llu", (unsigned long long)(dm.TotalBytesShipped() >> 10)),
+         Fmt("%llu", (unsigned long long)(
+                         dm.Total(&DistWorkerRow::bytes_shipped) >> 10)),
          Fmt("%u", dm.tree.depth), identical ? "yes" : "NO"});
     report.SetMetric(Fmt("workers_%u_eps", workers), eps);
     if (workers == 1) workers_1_eps = eps;

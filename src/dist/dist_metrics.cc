@@ -1,201 +1,98 @@
 #include "dist/dist_metrics.h"
 
-#include <cinttypes>
-#include <cstdio>
-
 namespace streamkc {
+namespace {
 
-uint64_t DistMetrics::TotalEdgesIngested() const {
-  uint64_t total = 0;
-  for (const auto& w : workers) total += w.counters.edges_ingested;
-  return total;
+using D = DistMetrics;
+using W = DistWorkerRow;
+using C = WorkerCounters;
+
+// A worker-row field read from the counters the worker shipped.
+std::function<LedgerValue(const W&)> Shipped(uint64_t C::*counter) {
+  return [counter](const W& w) { return w.counters.*counter; };
 }
 
-uint64_t DistMetrics::TotalEdgesProcessed() const {
-  uint64_t total = 0;
-  for (const auto& w : workers) total += w.counters.edges_processed;
-  return total;
+// A run field summing one worker field (see DistMetrics::Total).
+template <typename Field>
+std::function<LedgerValue(const D&)> Summed(Field field) {
+  return [field](const D& d) { return d.Total(field); };
 }
 
-uint64_t DistMetrics::TotalEdgesDiscarded() const {
-  uint64_t total = 0;
-  for (const auto& w : workers) total += w.counters.edges_discarded;
-  return total;
-}
+const Ledger<D> kRunFields = {
+    {"num_workers", "dist_num_workers", &D::num_workers},
+    {"merge_arity", "dist_merge_arity", &D::merge_arity},
+    {"num_segments", "dist_num_segments", &D::num_segments},
+    {"transport", nullptr, &D::transport},
+    {"poll_wakeups", "dist_poll_wakeups_total", &D::poll_wakeups},
+    {"connections_accepted", "dist_connections_accepted_total",
+     &D::connections_accepted},
+    {"socket_drops", "dist_socket_drops_total", &D::socket_drops},
+    {"edges_ingested", "dist_edges_ingested_total", Summed(&C::edges_ingested)},
+    {"edges_processed", "dist_edges_processed_total",
+     Summed(&C::edges_processed)},
+    {"edges_discarded", "dist_edges_discarded_total",
+     Summed(&C::edges_discarded)},
+    {"stream_retries", "dist_stream_retries_total", Summed(&C::stream_retries)},
+    {"bytes_shipped", "dist_bytes_shipped_total", Summed(&W::bytes_shipped)},
+    {"frames_received", "dist_frames_received_total", &D::frames_received},
+    {"crc_rejections", "dist_crc_rejections_total", Summed(&W::crc_rejections)},
+    {"fingerprint_corruptions_detected",
+     "dist_fingerprint_corruptions_detected",
+     Summed(&W::fingerprint_corrupted)},
+    {"workers_respawned", "dist_workers_respawned_total", Summed(&W::respawns)},
+    {"workers_quarantined", "dist_workers_quarantined",
+     Summed(&W::quarantined)},
+    {"checkpoints_written", "dist_checkpoints_written_total",
+     Summed(&C::checkpoints_written)},
+    {"checkpoints_loaded", "dist_checkpoints_loaded_total",
+     Summed(&C::checkpoints_loaded)},
+    {"checkpoints_rejected", "dist_checkpoints_rejected_total",
+     Summed(&C::checkpoints_rejected)},
+    {"connect_retries", "dist_connect_retries_total",
+     Summed(&C::connect_retries)},
+    {"merge_depth", "dist_merge_depth",
+     [](const D& d) { return d.tree.depth; }},
+    {"merges", "dist_merges_total", [](const D& d) { return d.tree.merges; }},
+    {"merge_ns", "dist_merge_ns", [](const D& d) { return d.tree.merge_ns; }},
+    {"wall_ns", "dist_wall_ns", &D::wall_ns},
+    {"edges_per_second", nullptr,
+     [](const D& d) { return LedgerValue::Fixed(d.EdgesPerSecond(), 0); }},
+};
 
-uint64_t DistMetrics::TotalStreamRetries() const {
-  uint64_t total = 0;
-  for (const auto& w : workers) total += w.counters.stream_retries;
-  return total;
-}
+const Ledger<W> kWorkerFields = {
+    {"edges_ingested", nullptr, Shipped(&C::edges_ingested)},
+    {"edges_processed", "dist_worker_edges_total",
+     Shipped(&C::edges_processed)},
+    {"edges_discarded", nullptr, Shipped(&C::edges_discarded)},
+    {"batches", nullptr, Shipped(&C::batches)},
+    {"stream_retries", nullptr, Shipped(&C::stream_retries)},
+    {"truncated_segments", nullptr, Shipped(&C::truncated_segments)},
+    {"segments_assigned", nullptr, &W::segments_assigned},
+    {"segments_done", nullptr, Shipped(&C::segments_done)},
+    {"checkpoints_written", "dist_worker_checkpoints_written_total",
+     Shipped(&C::checkpoints_written)},
+    {"checkpoints_loaded", nullptr, Shipped(&C::checkpoints_loaded)},
+    {"checkpoints_rejected", nullptr, Shipped(&C::checkpoints_rejected)},
+    {"connect_retries", nullptr, Shipped(&C::connect_retries)},
+    {"bytes_shipped", "dist_worker_bytes_shipped_total", &W::bytes_shipped},
+    {"respawns", "dist_worker_respawns_total", &W::respawns},
+    {"crc_rejections", nullptr, &W::crc_rejections},
+    {"quarantined", "dist_worker_quarantined", &W::quarantined},
+    {"fingerprint_corrupted", nullptr, &W::fingerprint_corrupted},
+};
 
-uint64_t DistMetrics::TotalBytesShipped() const {
-  uint64_t total = 0;
-  for (const auto& w : workers) total += w.bytes_shipped;
-  return total;
-}
-
-uint64_t DistMetrics::TotalCheckpointsWritten() const {
-  uint64_t total = 0;
-  for (const auto& w : workers) total += w.counters.checkpoints_written;
-  return total;
-}
-
-uint64_t DistMetrics::TotalCheckpointsLoaded() const {
-  uint64_t total = 0;
-  for (const auto& w : workers) total += w.counters.checkpoints_loaded;
-  return total;
-}
-
-uint64_t DistMetrics::TotalCheckpointsRejected() const {
-  uint64_t total = 0;
-  for (const auto& w : workers) total += w.counters.checkpoints_rejected;
-  return total;
-}
-
-uint64_t DistMetrics::TotalConnectRetries() const {
-  uint64_t total = 0;
-  for (const auto& w : workers) total += w.counters.connect_retries;
-  return total;
-}
-
-uint32_t DistMetrics::TotalRespawns() const {
-  uint32_t total = 0;
-  for (const auto& w : workers) total += w.respawns;
-  return total;
-}
-
-uint32_t DistMetrics::TotalCrcRejections() const {
-  uint32_t total = 0;
-  for (const auto& w : workers) total += w.crc_rejections;
-  return total;
-}
-
-uint32_t DistMetrics::WorkersQuarantined() const {
-  uint32_t total = 0;
-  for (const auto& w : workers) total += w.quarantined ? 1 : 0;
-  return total;
-}
-
-uint32_t DistMetrics::FingerprintCorruptions() const {
-  uint32_t total = 0;
-  for (const auto& w : workers) total += w.fingerprint_corrupted ? 1 : 0;
-  return total;
-}
+}  // namespace
 
 std::string DistMetrics::ToJson() const {
-  char buf[2048];
-  std::string out;
-  out.reserve(1024 + 512 * workers.size());
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\n"
-      "    \"num_workers\": %u,\n"
-      "    \"merge_arity\": %u,\n"
-      "    \"num_segments\": %u,\n"
-      "    \"transport\": \"%s\",\n"
-      "    \"poll_wakeups\": %" PRIu64 ",\n"
-      "    \"connections_accepted\": %" PRIu64 ",\n"
-      "    \"socket_drops\": %" PRIu64 ",\n"
-      "    \"edges_ingested\": %" PRIu64 ",\n"
-      "    \"edges_processed\": %" PRIu64 ",\n"
-      "    \"edges_discarded\": %" PRIu64 ",\n"
-      "    \"stream_retries\": %" PRIu64 ",\n"
-      "    \"bytes_shipped\": %" PRIu64 ",\n"
-      "    \"frames_received\": %" PRIu64 ",\n"
-      "    \"crc_rejections\": %u,\n"
-      "    \"fingerprint_corruptions_detected\": %u,\n"
-      "    \"workers_respawned\": %u,\n"
-      "    \"workers_quarantined\": %u,\n"
-      "    \"checkpoints_written\": %" PRIu64 ",\n"
-      "    \"checkpoints_loaded\": %" PRIu64 ",\n"
-      "    \"checkpoints_rejected\": %" PRIu64 ",\n"
-      "    \"connect_retries\": %" PRIu64 ",\n"
-      "    \"merge_depth\": %u,\n"
-      "    \"merges\": %" PRIu64 ",\n"
-      "    \"merge_ns\": %" PRIu64 ",\n"
-      "    \"wall_ns\": %" PRIu64 ",\n"
-      "    \"edges_per_second\": %.0f,\n"
-      "    \"workers\": [",
-      num_workers, merge_arity, num_segments, transport.c_str(),
-      poll_wakeups, connections_accepted, socket_drops, TotalEdgesIngested(),
-      TotalEdgesProcessed(), TotalEdgesDiscarded(), TotalStreamRetries(),
-      TotalBytesShipped(), frames_received, TotalCrcRejections(),
-      FingerprintCorruptions(), TotalRespawns(), WorkersQuarantined(),
-      TotalCheckpointsWritten(), TotalCheckpointsLoaded(),
-      TotalCheckpointsRejected(), TotalConnectRetries(), tree.depth,
-      tree.merges, tree.merge_ns, wall_ns, EdgesPerSecond());
-  out += buf;
-  for (size_t i = 0; i < workers.size(); ++i) {
-    const DistWorkerRow& w = workers[i];
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s\n      {\"worker\": %u, \"edges_ingested\": %" PRIu64
-        ", \"edges_processed\": %" PRIu64 ", \"edges_discarded\": %" PRIu64
-        ", \"batches\": %" PRIu64 ", \"stream_retries\": %" PRIu64
-        ", \"truncated_segments\": %" PRIu64
-        ", \"segments_assigned\": %u, \"segments_done\": %" PRIu64
-        ", \"checkpoints_written\": %" PRIu64
-        ", \"checkpoints_loaded\": %" PRIu64
-        ", \"checkpoints_rejected\": %" PRIu64
-        ", \"connect_retries\": %" PRIu64 ", \"bytes_shipped\": %" PRIu64
-        ", \"respawns\": %u, \"crc_rejections\": %u, \"quarantined\": %d"
-        ", \"fingerprint_corrupted\": %d}",
-        i == 0 ? "" : ",", w.worker, w.counters.edges_ingested,
-        w.counters.edges_processed, w.counters.edges_discarded,
-        w.counters.batches, w.counters.stream_retries,
-        w.counters.truncated_segments, w.segments_assigned,
-        w.counters.segments_done, w.counters.checkpoints_written,
-        w.counters.checkpoints_loaded, w.counters.checkpoints_rejected,
-        w.counters.connect_retries, w.bytes_shipped, w.respawns,
-        w.crc_rejections, w.quarantined ? 1 : 0,
-        w.fingerprint_corrupted ? 1 : 0);
-    out += buf;
-  }
-  out += "\n    ]\n  }";
-  return out;
+  return JsonWriter(4)
+      .AddFields(*this, kRunFields)
+      .AddRows("workers", "worker", workers, kWorkerFields)
+      .Close();
 }
 
 void DistMetrics::PublishTo(MetricsRegistry* registry) const {
-  auto set = [&](const char* name, uint64_t v) {
-    registry->GetGauge(name)->Set(v);
-  };
-  set("dist_num_workers", num_workers);
-  set("dist_merge_arity", merge_arity);
-  set("dist_num_segments", num_segments);
-  set("dist_edges_ingested_total", TotalEdgesIngested());
-  set("dist_edges_processed_total", TotalEdgesProcessed());
-  set("dist_edges_discarded_total", TotalEdgesDiscarded());
-  set("dist_stream_retries_total", TotalStreamRetries());
-  set("dist_bytes_shipped_total", TotalBytesShipped());
-  set("dist_frames_received_total", frames_received);
-  set("dist_crc_rejections_total", TotalCrcRejections());
-  set("dist_fingerprint_corruptions_detected", FingerprintCorruptions());
-  set("dist_workers_respawned_total", TotalRespawns());
-  set("dist_workers_quarantined", WorkersQuarantined());
-  set("dist_checkpoints_written_total", TotalCheckpointsWritten());
-  set("dist_checkpoints_loaded_total", TotalCheckpointsLoaded());
-  set("dist_checkpoints_rejected_total", TotalCheckpointsRejected());
-  set("dist_connect_retries_total", TotalConnectRetries());
-  set("dist_poll_wakeups_total", poll_wakeups);
-  set("dist_connections_accepted_total", connections_accepted);
-  set("dist_socket_drops_total", socket_drops);
-  set("dist_merge_depth", tree.depth);
-  set("dist_merges_total", tree.merges);
-  set("dist_merge_ns", tree.merge_ns);
-  set("dist_wall_ns", wall_ns);
-  for (const DistWorkerRow& w : workers) {
-    std::string worker = std::to_string(w.worker);
-    auto set_worker = [&](const char* name, uint64_t v) {
-      registry->GetGauge(LabeledName(name, "worker", worker))->Set(v);
-    };
-    set_worker("dist_worker_edges_total", w.counters.edges_processed);
-    set_worker("dist_worker_bytes_shipped_total", w.bytes_shipped);
-    set_worker("dist_worker_respawns_total", w.respawns);
-    set_worker("dist_worker_quarantined", w.quarantined ? 1 : 0);
-    set_worker("dist_worker_checkpoints_written_total",
-               w.counters.checkpoints_written);
-  }
+  PublishFields(registry, *this, kRunFields);
+  PublishRows(registry, workers, kWorkerFields, "worker");
 }
 
 }  // namespace streamkc

@@ -8,10 +8,10 @@
 // and worker-side counters cross the process boundary by serialization
 // (see worker_counters.h), not by shared memory.
 //
-// ToJson() renders the "dist" section of the CLI metrics dump (the
-// ComposeMetricsJson extra-section hook, like serve's "serving" section);
-// PublishTo() mirrors the totals and per-worker rows into a
-// MetricsRegistry as dist_* gauges for the Prometheus exposition.
+// ToJson() renders the "dist" section of the CLI metrics dump (an extra
+// section of ComposeMetrics, like serve's "serving" section); PublishTo()
+// mirrors the totals and per-worker rows into a MetricsRegistry as dist_*
+// gauges. Both render from the ledgers in dist_metrics.cc (obs/ledger.h).
 
 #ifndef STREAMKC_DIST_DIST_METRICS_H_
 #define STREAMKC_DIST_DIST_METRICS_H_
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "dist/worker_counters.h"
+#include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "runtime/reduction_tree.h"
 
@@ -50,24 +51,23 @@ struct DistMetrics {
   MergeTreeStats tree;
   std::vector<DistWorkerRow> workers;
 
-  // Sums over worker rows (quarantined rows carry zero counters: their
-  // partial work died with the process and is not in the merged result).
-  uint64_t TotalEdgesIngested() const;
-  uint64_t TotalEdgesProcessed() const;
-  uint64_t TotalEdgesDiscarded() const;
-  uint64_t TotalStreamRetries() const;
-  uint64_t TotalBytesShipped() const;
-  uint64_t TotalCheckpointsWritten() const;
-  uint64_t TotalCheckpointsLoaded() const;
-  uint64_t TotalCheckpointsRejected() const;
-  uint64_t TotalConnectRetries() const;
-  uint32_t TotalRespawns() const;
-  uint32_t TotalCrcRejections() const;
-  uint32_t WorkersQuarantined() const;
-  uint32_t FingerprintCorruptions() const;
+  // Sum of one field over the worker rows: a shipped counter
+  // (&WorkerCounters::edges_processed) or a row member
+  // (&DistWorkerRow::respawns). Quarantined rows carry zero counters: their
+  // partial work died with the process and is not in the merged result.
+  uint64_t Total(uint64_t WorkerCounters::*counter) const {
+    return SumRows(workers, [counter](const DistWorkerRow& w) {
+      return w.counters.*counter;
+    });
+  }
+  template <typename F>
+  uint64_t Total(F DistWorkerRow::*field) const {
+    return SumRows(workers, field);
+  }
 
   double EdgesPerSecond() const {
-    return wall_ns > 0 ? static_cast<double>(TotalEdgesProcessed()) /
+    return wall_ns > 0 ? static_cast<double>(
+                             Total(&WorkerCounters::edges_processed)) /
                              (static_cast<double>(wall_ns) / 1e9)
                        : 0.0;
   }

@@ -21,7 +21,7 @@
 // Crash recovery: with a checkpoint_dir configured, workers write a
 // checksummed checkpoint (dist/checkpoint.h) every checkpoint_every
 // committed segments. A worker that dies mid-stream (crash, CHECK-abort,
-// or a FaultPlan kill-shard) is respawned — up to max_respawns times —
+// or a FaultPlan kill-shard) is respawned — up to kMaxRespawns times —
 // and the respawned incarnation loads the checkpoint, then re-ingests only
 // the segments past the committed prefix. Because the checkpoint holds
 // exactly the committed prefix and the dead incarnation's uncommitted work
@@ -55,7 +55,7 @@
 //   crash / kill      coordinator sees EOF without a frame (pipe), a torn
 //                     connection, or a SIGCHLD-sweep waitpid (TCP, worker
 //                     died before dialing) -> respawn, then quarantine
-//                     once max_respawns is exhausted
+//                     once kMaxRespawns is exhausted
 //   exit(kPermanentErrorExit) (e.g. parse error, transport retry budget
 //                     exhausted) -> quarantine immediately (deterministic
 //                     failures don't earn respawns)
@@ -112,19 +112,12 @@ struct DistOptions {
   // When > 0, checkpoint_dir must name an existing writable directory.
   uint32_t checkpoint_every = 0;
   std::string checkpoint_dir;
-  // Respawn budget per worker before it is quarantined out of the merge.
-  uint32_t max_respawns = 2;
   // Retry/backoff for transient stream errors inside workers and for
   // transient transport failures when shipping the final frame; strict
   // exits(1) if any worker is quarantined.
   DegradationPolicy degradation;
   // How worker frames travel to the coordinator (pipe or tcp + addresses).
   TransportConfig transport;
-  // Coordinator poll(2) timeout: 0 = auto (infinite — every worker exit is
-  // observable through the poll set, so an idle tree takes zero wakeups),
-  // > 0 = fixed milliseconds, -1 = explicit infinite. See
-  // ResolvePollTimeoutMs in dist/transport.h.
-  int poll_timeout_ms = 0;
   // Optional deterministic fault plan (kill/corrupt/drop hooks above). The
   // injector must outlive Run(); its counters land in the coordinator's
   // registry (worker-side registries die with the worker).
@@ -136,6 +129,9 @@ struct DistOptions {
 inline constexpr int kWorkerOkExit = 0;
 inline constexpr int kWorkerKilledExit = 6;          // injected kill fault
 inline constexpr int kWorkerPermanentErrorExit = 9;  // deterministic failure
+
+// Respawn budget per worker before it is quarantined out of the merge.
+inline constexpr uint32_t kMaxRespawns = 2;
 
 template <typename State>
 class ProcessReductionTree {
@@ -324,11 +320,10 @@ class ProcessReductionTree {
       transport_->AppendPollFds(&pfds);
       // Every running worker is observable: through its slot fd (pipe) or
       // through the transport's self-pipe/listen fds (TCP) — which is why
-      // the auto timeout below can be infinite.
+      // the poll is event-driven with an infinite timeout: an idle tree
+      // takes zero wakeups.
       CHECK(!pfds.empty());
-      int ready = ::poll(pfds.data(), pfds.size(),
-                         ResolvePollTimeoutMs(options_.poll_timeout_ms,
-                                              /*deadline_pending=*/false));
+      int ready = ::poll(pfds.data(), pfds.size(), /*timeout=*/-1);
       ++metrics_.poll_wakeups;
       if (ready < 0) {
         CHECK_EQ(errno, EINTR);
@@ -529,7 +524,7 @@ class ProcessReductionTree {
       inj->Count(FaultInjector::kFaultWorkerDeath);
     }
     DistWorkerRow& row = metrics_.workers[w];
-    if (row.respawns >= options_.max_respawns) {
+    if (row.respawns >= kMaxRespawns) {
       std::fprintf(stderr,
                    "dist: worker %u crashed with respawn budget exhausted "
                    "(%u used); quarantined\n",
@@ -540,7 +535,7 @@ class ProcessReductionTree {
     ++row.respawns;
     ++s->generation;
     std::fprintf(stderr, "dist: worker %u crashed; respawning (%u/%u)\n", w,
-                 row.respawns, options_.max_respawns);
+                 row.respawns, kMaxRespawns);
     Spawn(w, num_segments, open, slots);
   }
 

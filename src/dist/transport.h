@@ -173,17 +173,6 @@ class Transport {
 
 std::unique_ptr<Transport> MakeTransport(const TransportConfig& config);
 
-// The coordinator's poll timeout policy (satellite of the transport work;
-// unit-tested in dist_transport_test). With every exit observable through
-// the poll set — pipe EOF or the TCP self-pipe — an idle tree needs no
-// wakeups at all, so auto (0) means infinite unless a timed deadline is
-// pending (none exist today; the parameter keeps the contract explicit).
-inline int ResolvePollTimeoutMs(int configured_ms, bool deadline_pending) {
-  if (configured_ms > 0) return configured_ms;
-  if (configured_ms < 0) return -1;
-  return deadline_pending ? 1000 : -1;
-}
-
 }  // namespace streamkc
 
 #endif  // STREAMKC_DIST_TRANSPORT_H_

@@ -19,58 +19,53 @@
 #ifndef STREAMKC_DIST_WORKER_COUNTERS_H_
 #define STREAMKC_DIST_WORKER_COUNTERS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <istream>
+#include <iterator>
 #include <ostream>
 
 #include "util/serialize.h"
 
+// The counters in wire order, named once: each X(name) declares one u64
+// field, and Save/Load/kSerializedBytes walk the member list built from it.
+#define STREAMKC_WORKER_COUNTERS(X)                                        \
+  X(edges_ingested)        /* edges pulled from the segment streams */    \
+  X(edges_processed)       /* edges folded into the local state */        \
+  X(edges_discarded)       /* ingested but dropped (truncated segment) */ \
+  X(batches)               /* ProcessBatch hand-offs */                   \
+  X(stream_retries)        /* transient read errors retried (bounded) */  \
+  X(truncated_segments)    /* segments cut short by retry exhaustion */   \
+  X(segments_done)         /* fully ingested (committed) segments */      \
+  X(checkpoints_written)                                                  \
+  X(checkpoints_loaded)                                                   \
+  X(checkpoints_rejected)  /* torn/foreign blobs discarded on load */     \
+  X(connect_retries)       /* transport dials retried (TCP ship path) */
+
 namespace streamkc {
 
 struct WorkerCounters {
-  uint64_t edges_ingested = 0;   // edges pulled from the segment streams
-  uint64_t edges_processed = 0;  // edges folded into the local state
-  uint64_t edges_discarded = 0;  // ingested but dropped (truncated segment)
-  uint64_t batches = 0;          // ProcessBatch hand-offs
-  uint64_t stream_retries = 0;   // transient read errors retried (bounded)
-  uint64_t truncated_segments = 0;  // segments cut short by retry exhaustion
-  uint64_t segments_done = 0;       // fully ingested (committed) segments
-  uint64_t checkpoints_written = 0;
-  uint64_t checkpoints_loaded = 0;
-  uint64_t checkpoints_rejected = 0;  // torn/foreign blobs discarded on load
-  uint64_t connect_retries = 0;  // transport dials retried (TCP ship path)
+#define STREAMKC_DECLARE_COUNTER(name) uint64_t name = 0;
+  STREAMKC_WORKER_COUNTERS(STREAMKC_DECLARE_COUNTER)
+#undef STREAMKC_DECLARE_COUNTER
+
+#define STREAMKC_COUNTER_MEMBER(name) &WorkerCounters::name,
+  static constexpr uint64_t WorkerCounters::*kFields[] = {
+      STREAMKC_WORKER_COUNTERS(STREAMKC_COUNTER_MEMBER)};
+#undef STREAMKC_COUNTER_MEMBER
 
   // Exact Save() footprint; the checkpoint Try-decoder validates body
   // lengths against this before handing the bytes to Load.
-  static constexpr size_t kSerializedBytes = 11 * sizeof(uint64_t);
+  static constexpr size_t kSerializedBytes =
+      std::size(kFields) * sizeof(uint64_t);
 
   void Save(std::ostream& os) const {
-    WriteU64(os, edges_ingested);
-    WriteU64(os, edges_processed);
-    WriteU64(os, edges_discarded);
-    WriteU64(os, batches);
-    WriteU64(os, stream_retries);
-    WriteU64(os, truncated_segments);
-    WriteU64(os, segments_done);
-    WriteU64(os, checkpoints_written);
-    WriteU64(os, checkpoints_loaded);
-    WriteU64(os, checkpoints_rejected);
-    WriteU64(os, connect_retries);
+    for (auto f : kFields) WriteU64(os, this->*f);
   }
 
   static WorkerCounters Load(std::istream& is) {
     WorkerCounters c;
-    c.edges_ingested = ReadU64(is);
-    c.edges_processed = ReadU64(is);
-    c.edges_discarded = ReadU64(is);
-    c.batches = ReadU64(is);
-    c.stream_retries = ReadU64(is);
-    c.truncated_segments = ReadU64(is);
-    c.segments_done = ReadU64(is);
-    c.checkpoints_written = ReadU64(is);
-    c.checkpoints_loaded = ReadU64(is);
-    c.checkpoints_rejected = ReadU64(is);
-    c.connect_retries = ReadU64(is);
+    for (auto f : kFields) c.*f = ReadU64(is);
     return c;
   }
 };

@@ -1,49 +1,23 @@
 #include "runtime/metrics_export.h"
 
 #include "obs/export.h"
+#include "obs/ledger.h"
 
 namespace streamkc {
 
-std::string ComposeMetricsJson(const RuntimeMetrics* runtime,
-                               const SpaceAccountant* space,
-                               MetricsRegistry& registry,
-                               const std::string& extra_section_name,
-                               const std::string& extra_section_json) {
-  std::string out;
-  bool have_keys = false;
-  if (runtime != nullptr) {
-    out = runtime->ToJson();
-    // Reopen the object: drop the closing brace (and the newline before it)
-    // so the extra sections extend the original schema in place.
-    while (!out.empty() && (out.back() == '}' || out.back() == '\n')) {
-      out.pop_back();
-    }
-    have_keys = true;
-  } else {
-    out = "{";
-  }
-  if (space != nullptr) {
-    out += have_keys ? ",\n  \"space\": " : "\n  \"space\": ";
-    out += space->ToJson();
-    have_keys = true;
-  }
-  if (!extra_section_name.empty()) {
-    out += have_keys ? ",\n  \"" : "\n  \"";
-    out += extra_section_name;
-    out += "\": ";
-    out += extra_section_json;
-    have_keys = true;
-  }
-  out += have_keys ? ",\n  \"registry\": " : "\n  \"registry\": ";
-  out += ExportJson(registry.Snapshot());
-  out += "\n}";
-  return out;
-}
-
-std::string ComposeMetricsPrometheus(const RuntimeMetrics* runtime,
-                                     MetricsRegistry& registry) {
+std::string ComposeMetrics(bool prometheus, const RuntimeMetrics* runtime,
+                           const SpaceAccountant* space,
+                           const MetricsSection& extra,
+                           MetricsRegistry& registry) {
   if (runtime != nullptr) runtime->PublishTo(&registry);
-  return ExportPrometheus(registry.Snapshot());
+  if (extra.publish) extra.publish(&registry);
+  if (prometheus) return ExportPrometheus(registry.Snapshot());
+  JsonWriter json(2);
+  if (runtime != nullptr) runtime->AppendJson(json);
+  if (space != nullptr) json.AddJson("space", space->ToJson());
+  if (!extra.name.empty()) json.AddJson(extra.name.c_str(), extra.json);
+  json.AddJson("registry", ExportJson(registry.Snapshot()));
+  return json.Close();
 }
 
 }  // namespace streamkc

@@ -1,44 +1,43 @@
-// Composes a run's full observability dump from its three sources: the
-// ingestion engine's RuntimeMetrics (absent for in-line single-threaded
-// passes), the pass's SpaceAccountant breakdown, and the metrics registry
-// (stream counters, histograms, published gauges).
+// Composes a run's full observability dump from its sources: the ingestion
+// engine's RuntimeMetrics (absent for in-line single-threaded passes), the
+// pass's SpaceAccountant breakdown, an optional extra section (serve's
+// "serving", sketch's "dist") and the metrics registry (stream counters,
+// histograms, published gauges).
 //
-// The JSON form is a backward-compatible SUPERSET of the original
-// --metrics-out schema: every top-level RuntimeMetrics::ToJson() key is
-// preserved at the top level, with "space" and "registry" objects appended.
-// The Prometheus form first mirrors RuntimeMetrics into the registry
-// (PublishTo) so a single ExportPrometheus snapshot carries everything.
+// Every section is published into the registry once, before either format
+// renders, so the JSON "registry" object and the Prometheus exposition
+// carry the same gauges. The JSON form is a backward-compatible SUPERSET of
+// the original --metrics-out schema: every top-level RuntimeMetrics::ToJson()
+// key is preserved at the top level, with "space", the extra section and
+// "registry" appended.
 
 #ifndef STREAMKC_RUNTIME_METRICS_EXPORT_H_
 #define STREAMKC_RUNTIME_METRICS_EXPORT_H_
 
+#include <functional>
 #include <string>
 
-#include "obs/metrics.h"
 #include "obs/space_accountant.h"
 #include "runtime/runtime_metrics.h"
 
 namespace streamkc {
 
-// `runtime` and `space` may each be nullptr (section omitted). A driver
-// with its own observability surface (e.g. the serving mode) can append one
-// extra top-level section: `extra_section_json` must be a complete JSON
-// value, emitted verbatim under the `extra_section_name` key (both empty =
-// no extra section).
-std::string ComposeMetricsJson(const RuntimeMetrics* runtime,
-                               const SpaceAccountant* space,
-                               MetricsRegistry& registry,
-                               const std::string& extra_section_name =
-                                   std::string(),
-                               const std::string& extra_section_json =
-                                   std::string());
+// A CLI mode's own top-level section: its complete JSON value, emitted
+// verbatim under `name` (empty = no section), and how it mirrors itself
+// into the registry (empty = it publishes nothing).
+struct MetricsSection {
+  std::string name;
+  std::string json;
+  std::function<void(MetricsRegistry*)> publish;
+};
 
-// Publishes `runtime` into `registry` (when non-null), then renders the
-// whole registry in Prometheus text format. Space gauges are expected to be
-// in the registry already (SpaceAccountant publishes on Sample when built
-// with a registry).
-std::string ComposeMetricsPrometheus(const RuntimeMetrics* runtime,
-                                     MetricsRegistry& registry);
+// `runtime` and `space` may each be nullptr (section omitted). Space gauges
+// are expected to be in the registry already (SpaceAccountant publishes on
+// Sample when built with a registry).
+std::string ComposeMetrics(bool prometheus, const RuntimeMetrics* runtime,
+                           const SpaceAccountant* space,
+                           const MetricsSection& extra,
+                           MetricsRegistry& registry);
 
 }  // namespace streamkc
 

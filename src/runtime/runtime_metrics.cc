@@ -1,28 +1,83 @@
 #include "runtime/runtime_metrics.h"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "util/check.h"
 
 namespace streamkc {
+namespace {
+
+using M = RuntimeMetrics;
+using Shard = RuntimeMetrics::PerShard;
+using Producer = RuntimeMetrics::PerProducer;
+
+const Ledger<M> kRunFields = {
+    {"edges_ingested", "runtime_edges_ingested", &M::edges_ingested},
+    {"batches_enqueued", "runtime_batches_enqueued", &M::batches_enqueued},
+    {"queue_full_stalls", "runtime_queue_full_stalls", &M::queue_full_stalls},
+    {"ring_stall_rounds", "runtime_ring_stall_rounds",
+     &M::TotalRingStallRounds},
+    {"ring_stalled_ns", "runtime_ring_stalled_ns", &M::TotalRingStalledNs},
+    // "retries_total"/"shards_quarantined" are the names the obs layer's
+    // consumers alert on.
+    {"stream_retries", "retries_total", &M::stream_retries},
+    {"worker_deaths", "runtime_worker_deaths", &M::worker_deaths},
+    {"merge_corruptions_detected", "runtime_merge_corruptions_detected",
+     &M::merge_corruptions_detected},
+    {"shards_quarantined", "shards_quarantined", &M::shards_quarantined},
+    {"quarantined_fraction", nullptr,
+     [](const M& m) { return LedgerValue::Fixed(m.QuarantinedFraction(), 4); }},
+    {"edges_discarded", "runtime_edges_discarded", &M::TotalEdgesDiscarded},
+    {"merges", "runtime_merges", &M::merges},
+    {"merge_ns", "runtime_merge_ns", &M::merge_ns},
+    {"merged_state_bytes", "runtime_merged_state_bytes",
+     &M::merged_state_bytes},
+    {"total_shard_state_bytes", "runtime_total_shard_state_bytes",
+     &M::TotalStateBytes},
+    {"wall_ns", "runtime_wall_ns", &M::wall_ns},
+    {"edges_per_second", nullptr,
+     [](const M& m) { return LedgerValue::Fixed(m.EdgesPerSecond(), 0); }},
+    {nullptr, "runtime_num_shards", &M::num_shards},
+    {"num_producers", "runtime_num_producers", &M::num_producers},
+    {"batches_recycled", "runtime_batches_recycled", &M::TotalBatchesRecycled},
+};
+
+const Ledger<Shard> kShardFields = {
+    {"edges", "runtime_shard_edges", &Shard::edges},
+    {"batches", "runtime_shard_batches", &Shard::batches},
+    {"busy_ns", "runtime_shard_busy_ns", &Shard::busy_ns},
+    {"state_bytes", "runtime_shard_state_bytes", &Shard::state_bytes},
+    {"ring_stalls", "runtime_shard_ring_stalls", &Shard::ring_stalls},
+    {"ring_stall_rounds", "runtime_shard_ring_stall_rounds",
+     &Shard::ring_stall_rounds},
+    {"ring_stalled_ns", "runtime_shard_ring_stalled_ns",
+     &Shard::ring_stalled_ns},
+    {"edges_discarded", "runtime_shard_edges_discarded",
+     &Shard::edges_discarded},
+    {"quarantined", "runtime_shard_quarantined", &Shard::quarantined},
+};
+
+const Ledger<Producer> kProducerFields = {
+    {"edges", "runtime_producer_edges", &Producer::edges},
+    {"batches", "runtime_producer_batches", &Producer::batches},
+    {"stream_retries", "runtime_producer_stream_retries",
+     &Producer::stream_retries},
+    {"batches_recycled", "runtime_producer_batches_recycled",
+     &Producer::batches_recycled},
+};
+
+}  // namespace
 
 void RuntimeMetrics::Reset(uint32_t num_shards, uint32_t num_producers) {
   num_shards_ = num_shards;
   num_producers_ = num_producers;
   shards_ = std::make_unique<PerShard[]>(num_shards);
   producers_ = std::make_unique<PerProducer[]>(num_producers);
-  edges_ingested.store(0, std::memory_order_relaxed);
-  batches_enqueued.store(0, std::memory_order_relaxed);
-  queue_full_stalls.store(0, std::memory_order_relaxed);
-  stream_retries.store(0, std::memory_order_relaxed);
-  worker_deaths.store(0, std::memory_order_relaxed);
-  merge_corruptions_detected.store(0, std::memory_order_relaxed);
-  shards_quarantined.store(0, std::memory_order_relaxed);
-  merges.store(0, std::memory_order_relaxed);
-  merge_ns.store(0, std::memory_order_relaxed);
-  merged_state_bytes.store(0, std::memory_order_relaxed);
-  wall_ns.store(0, std::memory_order_relaxed);
+  for (std::atomic<uint64_t>* c :
+       {&edges_ingested, &batches_enqueued, &queue_full_stalls,
+        &stream_retries, &worker_deaths, &merge_corruptions_detected,
+        &shards_quarantined, &merges, &merge_ns, &merged_state_bytes,
+        &wall_ns}) {
+    c->store(0, std::memory_order_relaxed);
+  }
 }
 
 RuntimeMetrics::PerShard& RuntimeMetrics::shard(uint32_t s) {
@@ -45,54 +100,6 @@ const RuntimeMetrics::PerProducer& RuntimeMetrics::producer(uint32_t p) const {
   return producers_[p];
 }
 
-uint64_t RuntimeMetrics::TotalShardEdges() const {
-  uint64_t total = 0;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    total += shards_[s].edges.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t RuntimeMetrics::TotalStateBytes() const {
-  uint64_t total = 0;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    total += shards_[s].state_bytes.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t RuntimeMetrics::TotalRingStallRounds() const {
-  uint64_t total = 0;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    total += shards_[s].ring_stall_rounds.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t RuntimeMetrics::TotalRingStalledNs() const {
-  uint64_t total = 0;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    total += shards_[s].ring_stalled_ns.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t RuntimeMetrics::TotalEdgesDiscarded() const {
-  uint64_t total = 0;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    total += shards_[s].edges_discarded.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t RuntimeMetrics::TotalBatchesRecycled() const {
-  uint64_t total = 0;
-  for (uint32_t p = 0; p < num_producers_; ++p) {
-    total += producers_[p].batches_recycled.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 double RuntimeMetrics::QuarantinedFraction() const {
   if (num_shards_ == 0) return 0;
   return static_cast<double>(
@@ -107,159 +114,16 @@ double RuntimeMetrics::EdgesPerSecond() const {
          1e9 / static_cast<double>(ns);
 }
 
-std::string RuntimeMetrics::ToJson() const {
-  char buf[1024];
-  std::string out;
-  out.reserve(1024 + 256 * num_shards_);
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\n"
-      "  \"edges_ingested\": %" PRIu64 ",\n"
-      "  \"batches_enqueued\": %" PRIu64 ",\n"
-      "  \"queue_full_stalls\": %" PRIu64 ",\n"
-      "  \"ring_stall_rounds\": %" PRIu64 ",\n"
-      "  \"ring_stalled_ns\": %" PRIu64 ",\n"
-      "  \"stream_retries\": %" PRIu64 ",\n"
-      "  \"worker_deaths\": %" PRIu64 ",\n"
-      "  \"merge_corruptions_detected\": %" PRIu64 ",\n"
-      "  \"shards_quarantined\": %" PRIu64 ",\n"
-      "  \"quarantined_fraction\": %.4f,\n"
-      "  \"edges_discarded\": %" PRIu64 ",\n"
-      "  \"merges\": %" PRIu64 ",\n"
-      "  \"merge_ns\": %" PRIu64 ",\n"
-      "  \"merged_state_bytes\": %" PRIu64 ",\n"
-      "  \"total_shard_state_bytes\": %" PRIu64 ",\n"
-      "  \"wall_ns\": %" PRIu64 ",\n"
-      "  \"edges_per_second\": %.0f,\n"
-      "  \"num_producers\": %u,\n"
-      "  \"batches_recycled\": %" PRIu64 ",\n"
-      "  \"shards\": [",
-      edges_ingested.load(std::memory_order_relaxed),
-      batches_enqueued.load(std::memory_order_relaxed),
-      queue_full_stalls.load(std::memory_order_relaxed),
-      TotalRingStallRounds(), TotalRingStalledNs(),
-      stream_retries.load(std::memory_order_relaxed),
-      worker_deaths.load(std::memory_order_relaxed),
-      merge_corruptions_detected.load(std::memory_order_relaxed),
-      shards_quarantined.load(std::memory_order_relaxed),
-      QuarantinedFraction(), TotalEdgesDiscarded(),
-      merges.load(std::memory_order_relaxed),
-      merge_ns.load(std::memory_order_relaxed),
-      merged_state_bytes.load(std::memory_order_relaxed), TotalStateBytes(),
-      wall_ns.load(std::memory_order_relaxed), EdgesPerSecond(),
-      num_producers_, TotalBatchesRecycled());
-  out += buf;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    const PerShard& ps = shards_[s];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n    {\"shard\": %u, \"edges\": %" PRIu64
-                  ", \"batches\": %" PRIu64 ", \"busy_ns\": %" PRIu64
-                  ", \"state_bytes\": %" PRIu64 ", \"ring_stalls\": %" PRIu64
-                  ", \"ring_stall_rounds\": %" PRIu64
-                  ", \"ring_stalled_ns\": %" PRIu64
-                  ", \"edges_discarded\": %" PRIu64
-                  ", \"quarantined\": %" PRIu64 "}",
-                  s == 0 ? "" : ",", s,
-                  ps.edges.load(std::memory_order_relaxed),
-                  ps.batches.load(std::memory_order_relaxed),
-                  ps.busy_ns.load(std::memory_order_relaxed),
-                  ps.state_bytes.load(std::memory_order_relaxed),
-                  ps.ring_stalls.load(std::memory_order_relaxed),
-                  ps.ring_stall_rounds.load(std::memory_order_relaxed),
-                  ps.ring_stalled_ns.load(std::memory_order_relaxed),
-                  ps.edges_discarded.load(std::memory_order_relaxed),
-                  ps.quarantined.load(std::memory_order_relaxed));
-    out += buf;
-  }
-  out += num_shards_ > 0 ? "\n  ]" : "]";
-  out += ",\n  \"producers\": [";
-  for (uint32_t p = 0; p < num_producers_; ++p) {
-    const PerProducer& pp = producers_[p];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n    {\"producer\": %u, \"edges\": %" PRIu64
-                  ", \"batches\": %" PRIu64 ", \"stream_retries\": %" PRIu64
-                  ", \"batches_recycled\": %" PRIu64 "}",
-                  p == 0 ? "" : ",", p,
-                  pp.edges.load(std::memory_order_relaxed),
-                  pp.batches.load(std::memory_order_relaxed),
-                  pp.stream_retries.load(std::memory_order_relaxed),
-                  pp.batches_recycled.load(std::memory_order_relaxed));
-    out += buf;
-  }
-  out += num_producers_ > 0 ? "\n  ]\n}" : "]\n}";
-  return out;
+JsonWriter& RuntimeMetrics::AppendJson(JsonWriter& json) const {
+  return json.AddFields(*this, kRunFields)
+      .AddRows("shards", "shard", shards(), kShardFields)
+      .AddRows("producers", "producer", producers(), kProducerFields);
 }
 
 void RuntimeMetrics::PublishTo(MetricsRegistry* registry) const {
-  auto set = [&](const char* name, uint64_t v) {
-    registry->GetGauge(name)->Set(v);
-  };
-  set("runtime_edges_ingested", edges_ingested.load(std::memory_order_relaxed));
-  set("runtime_batches_enqueued",
-      batches_enqueued.load(std::memory_order_relaxed));
-  set("runtime_queue_full_stalls",
-      queue_full_stalls.load(std::memory_order_relaxed));
-  set("runtime_ring_stall_rounds", TotalRingStallRounds());
-  set("runtime_ring_stalled_ns", TotalRingStalledNs());
-  // Degradation-policy mirror; "retries_total"/"shards_quarantined" are the
-  // names the obs layer's consumers alert on. Mirrored as gauges like every
-  // other runtime_* metric so PublishTo stays idempotent.
-  set("retries_total", stream_retries.load(std::memory_order_relaxed));
-  set("shards_quarantined",
-      shards_quarantined.load(std::memory_order_relaxed));
-  set("runtime_worker_deaths", worker_deaths.load(std::memory_order_relaxed));
-  set("runtime_merge_corruptions_detected",
-      merge_corruptions_detected.load(std::memory_order_relaxed));
-  set("runtime_edges_discarded", TotalEdgesDiscarded());
-  set("runtime_merges", merges.load(std::memory_order_relaxed));
-  set("runtime_merge_ns", merge_ns.load(std::memory_order_relaxed));
-  set("runtime_merged_state_bytes",
-      merged_state_bytes.load(std::memory_order_relaxed));
-  set("runtime_total_shard_state_bytes", TotalStateBytes());
-  set("runtime_wall_ns", wall_ns.load(std::memory_order_relaxed));
-  set("runtime_num_shards", num_shards_);
-  set("runtime_num_producers", num_producers_);
-  set("runtime_batches_recycled", TotalBatchesRecycled());
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    const PerShard& ps = shards_[s];
-    std::string shard = std::to_string(s);
-    auto set_shard = [&](const char* name, uint64_t v) {
-      registry->GetGauge(LabeledName(name, "shard", shard))->Set(v);
-    };
-    set_shard("runtime_shard_edges",
-              ps.edges.load(std::memory_order_relaxed));
-    set_shard("runtime_shard_batches",
-              ps.batches.load(std::memory_order_relaxed));
-    set_shard("runtime_shard_busy_ns",
-              ps.busy_ns.load(std::memory_order_relaxed));
-    set_shard("runtime_shard_state_bytes",
-              ps.state_bytes.load(std::memory_order_relaxed));
-    set_shard("runtime_shard_ring_stalls",
-              ps.ring_stalls.load(std::memory_order_relaxed));
-    set_shard("runtime_shard_ring_stall_rounds",
-              ps.ring_stall_rounds.load(std::memory_order_relaxed));
-    set_shard("runtime_shard_ring_stalled_ns",
-              ps.ring_stalled_ns.load(std::memory_order_relaxed));
-    set_shard("runtime_shard_edges_discarded",
-              ps.edges_discarded.load(std::memory_order_relaxed));
-    set_shard("runtime_shard_quarantined",
-              ps.quarantined.load(std::memory_order_relaxed));
-  }
-  for (uint32_t p = 0; p < num_producers_; ++p) {
-    const PerProducer& pp = producers_[p];
-    std::string producer = std::to_string(p);
-    auto set_producer = [&](const char* name, uint64_t v) {
-      registry->GetGauge(LabeledName(name, "producer", producer))->Set(v);
-    };
-    set_producer("runtime_producer_edges",
-                 pp.edges.load(std::memory_order_relaxed));
-    set_producer("runtime_producer_batches",
-                 pp.batches.load(std::memory_order_relaxed));
-    set_producer("runtime_producer_stream_retries",
-                 pp.stream_retries.load(std::memory_order_relaxed));
-    set_producer("runtime_producer_batches_recycled",
-                 pp.batches_recycled.load(std::memory_order_relaxed));
-  }
+  PublishFields(registry, *this, kRunFields);
+  PublishRows(registry, shards(), kShardFields, "shard");
+  PublishRows(registry, producers(), kProducerFields, "producer");
 }
 
 }  // namespace streamkc

@@ -8,8 +8,10 @@
 // synchronization; the pipeline's happens-before edges come from the rings
 // and thread joins.
 //
-// ToJson() renders a point-in-time snapshot; it is meant to be called after
-// Run() returns (calling it mid-run is safe but reads moving counters).
+// Every counter is declared once, in the ledgers of runtime_metrics.cc
+// (obs/ledger.h): ToJson() and PublishTo() both render from them. ToJson()
+// is a point-in-time snapshot meant to be taken after Run() returns
+// (calling it mid-run is safe but reads moving counters).
 
 #ifndef STREAMKC_RUNTIME_RUNTIME_METRICS_H_
 #define STREAMKC_RUNTIME_RUNTIME_METRICS_H_
@@ -17,8 +19,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
+#include "obs/ledger.h"
 #include "obs/metrics.h"
 
 namespace streamkc {
@@ -65,24 +69,49 @@ class RuntimeMetrics {
   PerShard& shard(uint32_t s);
   const PerShard& shard(uint32_t s) const;
   uint32_t num_shards() const { return num_shards_; }
+  std::span<const PerShard> shards() const {
+    return {shards_.get(), num_shards_};
+  }
 
   PerProducer& producer(uint32_t p);
   const PerProducer& producer(uint32_t p) const;
   uint32_t num_producers() const { return num_producers_; }
+  std::span<const PerProducer> producers() const {
+    return {producers_.get(), num_producers_};
+  }
 
-  // Whole-run aggregates derived from the per-shard rows.
-  uint64_t TotalShardEdges() const;
-  uint64_t TotalStateBytes() const;
-  uint64_t TotalRingStallRounds() const;
-  uint64_t TotalRingStalledNs() const;
-  uint64_t TotalEdgesDiscarded() const;
-  uint64_t TotalBatchesRecycled() const;
+  // Whole-run aggregates: sums of one counter over its shard or producer
+  // rows.
+  uint64_t TotalShardEdges() const {
+    return SumRows(shards(), &PerShard::edges);
+  }
+  uint64_t TotalStateBytes() const {
+    return SumRows(shards(), &PerShard::state_bytes);
+  }
+  uint64_t TotalRingStallRounds() const {
+    return SumRows(shards(), &PerShard::ring_stall_rounds);
+  }
+  uint64_t TotalRingStalledNs() const {
+    return SumRows(shards(), &PerShard::ring_stalled_ns);
+  }
+  uint64_t TotalEdgesDiscarded() const {
+    return SumRows(shards(), &PerShard::edges_discarded);
+  }
+  uint64_t TotalBatchesRecycled() const {
+    return SumRows(producers(), &PerProducer::batches_recycled);
+  }
   double EdgesPerSecond() const;  // edges_ingested / wall time; 0 if unknown
   // Quarantined shards / num_shards — the confidence discount a degraded
   // run reports alongside its estimate. 0 when the run was clean.
   double QuarantinedFraction() const;
 
-  std::string ToJson() const;
+  std::string ToJson() const {
+    JsonWriter json(2);
+    return AppendJson(json).Close();
+  }
+  // Appends the ToJson() members (top-level keys and row arrays) to an open
+  // object: the metrics dump extends this schema in place.
+  JsonWriter& AppendJson(JsonWriter& json) const;
 
   // Mirrors every counter into `registry` under runtime_* names (per-shard
   // rows as shard-labeled gauges), so the Prometheus exporter and any other

@@ -108,8 +108,6 @@ struct ShardedPipelineOptions {
   // bounded queues are the backpressure mechanism.
   size_t queue_capacity = 16;
   PartitionPolicy policy = PartitionPolicy::kByElement;
-  // Extra salt for the routing hash (vary to re-shuffle shard assignment).
-  uint64_t route_salt = 0;
   // Registry receiving the run's counters and histograms (batch busy-time,
   // batch sizes); nullptr = the process-wide registry.
   MetricsRegistry* registry = nullptr;
@@ -440,7 +438,7 @@ class ShardedPipeline {
 
     // Producers: one thread per segment, each with its own accumulators,
     // retry budget and row of lanes. The router is shared and const.
-    ShardRouter router(n, options_.policy, options_.route_salt);
+    ShardRouter router(n, options_.policy);
     std::vector<std::thread> producers;
     producers.reserve(P);
     for (uint32_t p = 0; p < P; ++p) {

@@ -36,11 +36,18 @@ Checkpoint MakeCheckpoint() {
   Checkpoint ckpt;
   ckpt.worker = 3;
   ckpt.segments_done = 7;
-  ckpt.counters.edges_ingested = 5000;
+  // A distinct value in every counter, so a swapped Save/Load pair shows.
+  ckpt.counters.edges_ingested = 5011;
   ckpt.counters.edges_processed = 5000;
+  ckpt.counters.edges_discarded = 11;
   ckpt.counters.batches = 2;
+  ckpt.counters.stream_retries = 3;
+  ckpt.counters.truncated_segments = 4;
   ckpt.counters.segments_done = 7;
   ckpt.counters.checkpoints_written = 1;
+  ckpt.counters.checkpoints_loaded = 5;
+  ckpt.counters.checkpoints_rejected = 6;
+  ckpt.counters.connect_retries = 8;
   ckpt.fingerprint = state.MergeFingerprint();
   std::ostringstream os;
   state.Save(os);
@@ -53,10 +60,23 @@ TEST(DistCheckpoint, RoundTripsEveryField) {
   Checkpoint back = DecodeCheckpoint(EncodeCheckpoint(ckpt));
   EXPECT_EQ(back.worker, ckpt.worker);
   EXPECT_EQ(back.segments_done, ckpt.segments_done);
-  EXPECT_EQ(back.counters.edges_ingested, ckpt.counters.edges_ingested);
-  EXPECT_EQ(back.counters.batches, ckpt.counters.batches);
-  EXPECT_EQ(back.counters.checkpoints_written,
-            ckpt.counters.checkpoints_written);
+  const WorkerCounters& c = ckpt.counters;
+  const WorkerCounters& b = back.counters;
+  EXPECT_EQ(b.edges_ingested, c.edges_ingested);
+  EXPECT_EQ(b.edges_processed, c.edges_processed);
+  EXPECT_EQ(b.edges_discarded, c.edges_discarded);
+  EXPECT_EQ(b.batches, c.batches);
+  EXPECT_EQ(b.stream_retries, c.stream_retries);
+  EXPECT_EQ(b.truncated_segments, c.truncated_segments);
+  EXPECT_EQ(b.segments_done, c.segments_done);
+  EXPECT_EQ(b.checkpoints_written, c.checkpoints_written);
+  EXPECT_EQ(b.checkpoints_loaded, c.checkpoints_loaded);
+  EXPECT_EQ(b.checkpoints_rejected, c.checkpoints_rejected);
+  EXPECT_EQ(b.connect_retries, c.connect_retries);
+  // The checkpoint decoder validates body lengths against this constant.
+  std::ostringstream counters;
+  c.Save(counters);
+  EXPECT_EQ(counters.str().size(), WorkerCounters::kSerializedBytes);
   EXPECT_EQ(back.fingerprint, ckpt.fingerprint);
   EXPECT_EQ(back.state_blob, ckpt.state_blob);
   // The carried state blob itself reloads into a working sketch.
@@ -279,8 +299,8 @@ TEST(DistCheckpoint, TornFileOnRespawnIsRejectedAndRunStillConverges) {
   EXPECT_FALSE(w1.quarantined);
   EXPECT_EQ(w1.counters.checkpoints_rejected, 1u);
   EXPECT_EQ(w1.counters.checkpoints_loaded, 0u);
-  EXPECT_EQ(dist.metrics.WorkersQuarantined(), 0u);
-  EXPECT_EQ(dist.metrics.TotalCheckpointsRejected(), 1u);
+  EXPECT_EQ(dist.metrics.Total(&DistWorkerRow::quarantined), 0u);
+  EXPECT_EQ(dist.metrics.Total(&WorkerCounters::checkpoints_rejected), 1u);
 }
 
 TEST(DistCheckpoint, CadenceRespectsSegmentBoundaries) {

@@ -47,10 +47,10 @@ TEST_F(DistDifferential, MatchesInlineAcrossWorkersAndArity) {
           << "workers=" << workers << " arity=" << arity;
       EXPECT_EQ(dist.fingerprint, inline_ref.fingerprint);
       EXPECT_EQ(dist.metrics.frames_received, workers);
-      EXPECT_EQ(dist.metrics.TotalEdgesIngested(), kEdges);
-      EXPECT_EQ(dist.metrics.TotalEdgesProcessed(), kEdges);
-      EXPECT_EQ(dist.metrics.WorkersQuarantined(), 0u);
-      EXPECT_EQ(dist.metrics.TotalRespawns(), 0u);
+      EXPECT_EQ(dist.metrics.Total(&WorkerCounters::edges_ingested), kEdges);
+      EXPECT_EQ(dist.metrics.Total(&WorkerCounters::edges_processed), kEdges);
+      EXPECT_EQ(dist.metrics.Total(&DistWorkerRow::quarantined), 0u);
+      EXPECT_EQ(dist.metrics.Total(&DistWorkerRow::respawns), 0u);
       // The recorded tree depth matches the closed form the validator uses.
       EXPECT_EQ(dist.metrics.tree.depth, MergeTreeDepth(workers, arity));
       if (workers > 1) {
@@ -87,9 +87,9 @@ TEST_F(DistDifferential, KilledWorkerRespawnsAndConvergesWithoutCheckpoint) {
   // the inline bytes.
   EXPECT_EQ(dist.state_blob, harness.RunInline().state_blob);
   EXPECT_EQ(dist.metrics.workers[1].respawns, 1u);
-  EXPECT_EQ(dist.metrics.TotalRespawns(), 1u);
-  EXPECT_EQ(dist.metrics.WorkersQuarantined(), 0u);
-  EXPECT_EQ(dist.metrics.TotalEdgesProcessed(), kEdges);
+  EXPECT_EQ(dist.metrics.Total(&DistWorkerRow::respawns), 1u);
+  EXPECT_EQ(dist.metrics.Total(&DistWorkerRow::quarantined), 0u);
+  EXPECT_EQ(dist.metrics.Total(&WorkerCounters::edges_processed), kEdges);
 }
 
 TEST_F(DistDifferential, KilledWorkerResumesFromCheckpointAndConverges) {
@@ -113,7 +113,7 @@ TEST_F(DistDifferential, KilledWorkerResumesFromCheckpointAndConverges) {
   EXPECT_GE(w1.counters.checkpoints_written, 1u);
   // Committed-prefix semantics: every segment landed exactly once, so the
   // shipped counters still account for exactly the corpus.
-  EXPECT_EQ(dist.metrics.TotalEdgesProcessed(), kEdges);
+  EXPECT_EQ(dist.metrics.Total(&WorkerCounters::edges_processed), kEdges);
 }
 
 TEST_F(DistDifferential, CheckpointedRunMatchesUncheckpointedByte) {
@@ -126,8 +126,8 @@ TEST_F(DistDifferential, CheckpointedRunMatchesUncheckpointedByte) {
   ckpt.checkpoint_dir = harness.CheckpointDir();
   ScopedWorkerHarness::Result with = harness.RunDist(ckpt);
   EXPECT_EQ(with.state_blob, without.state_blob);
-  EXPECT_GT(with.metrics.TotalCheckpointsWritten(), 0u);
-  EXPECT_EQ(without.metrics.TotalCheckpointsWritten(), 0u);
+  EXPECT_GT(with.metrics.Total(&WorkerCounters::checkpoints_written), 0u);
+  EXPECT_EQ(without.metrics.Total(&WorkerCounters::checkpoints_written), 0u);
 }
 
 TEST_F(DistDifferential, CorruptFrameIsRejectedByCrcAndQuarantined) {
@@ -142,7 +142,7 @@ TEST_F(DistDifferential, CorruptFrameIsRejectedByCrcAndQuarantined) {
   const DistWorkerRow& w2 = dist.metrics.workers[2];
   EXPECT_TRUE(w2.quarantined);
   EXPECT_EQ(w2.crc_rejections, 1u);
-  EXPECT_EQ(dist.metrics.WorkersQuarantined(), 1u);
+  EXPECT_EQ(dist.metrics.Total(&DistWorkerRow::quarantined), 1u);
   EXPECT_EQ(dist.metrics.frames_received, 3u);
   EXPECT_EQ(registry
                 .GetCounter(LabeledName("faults_injected_total", "kind",
@@ -151,7 +151,7 @@ TEST_F(DistDifferential, CorruptFrameIsRejectedByCrcAndQuarantined) {
             1u);
   // Quarantined rows ship zero counters: what the totals claim is exactly
   // what the merged state contains (3 of 4 worker blocks).
-  EXPECT_LT(dist.metrics.TotalEdgesProcessed(), kEdges);
+  EXPECT_LT(dist.metrics.Total(&WorkerCounters::edges_processed), kEdges);
   EXPECT_EQ(w2.counters.edges_processed, 0u);
 }
 
@@ -165,8 +165,8 @@ TEST_F(DistDifferential, CorruptMergeFingerprintLosesMajorityVote) {
   const DistWorkerRow& w0 = dist.metrics.workers[0];
   EXPECT_TRUE(w0.quarantined);
   EXPECT_TRUE(w0.fingerprint_corrupted);
-  EXPECT_EQ(dist.metrics.FingerprintCorruptions(), 1u);
-  EXPECT_EQ(dist.metrics.WorkersQuarantined(), 1u);
+  EXPECT_EQ(dist.metrics.Total(&DistWorkerRow::fingerprint_corrupted), 1u);
+  EXPECT_EQ(dist.metrics.Total(&DistWorkerRow::quarantined), 1u);
   // The surviving majority still merges to a valid state whose fingerprint
   // matches the inline configuration.
   EXPECT_EQ(dist.fingerprint, harness.RunInline().fingerprint);
@@ -202,9 +202,10 @@ TEST_F(DistDifferential, StreamFaultsInsideWorkersStayDeterministic) {
   ScopedWorkerHarness::Result first = harness.RunDist(opt);
   ScopedWorkerHarness::Result second = harness.RunDist(opt);
   EXPECT_EQ(first.state_blob, second.state_blob);
-  EXPECT_GT(first.metrics.TotalEdgesProcessed(), kEdges);  // dups landed
-  EXPECT_EQ(first.metrics.TotalEdgesProcessed(),
-            second.metrics.TotalEdgesProcessed());
+  EXPECT_GT(first.metrics.Total(&WorkerCounters::edges_processed),
+            kEdges);  // dups landed
+  EXPECT_EQ(first.metrics.Total(&WorkerCounters::edges_processed),
+            second.metrics.Total(&WorkerCounters::edges_processed));
 }
 
 TEST_F(DistDifferential, RetriedReadErrorsLeaveTheMergedBytesUnchanged) {
@@ -219,14 +220,14 @@ TEST_F(DistDifferential, RetriedReadErrorsLeaveTheMergedBytesUnchanged) {
   opt.fault_injector = &injector;
   ScopedWorkerHarness::Result dist = harness.RunDist(opt);
   EXPECT_EQ(dist.state_blob, harness.RunInline().state_blob);
-  EXPECT_GT(dist.metrics.TotalStreamRetries(), 0u);
+  EXPECT_GT(dist.metrics.Total(&WorkerCounters::stream_retries), 0u);
   uint64_t truncated = 0;
   for (const DistWorkerRow& w : dist.metrics.workers) {
     truncated += w.counters.truncated_segments;
   }
   EXPECT_EQ(truncated, 0u);
-  EXPECT_EQ(dist.metrics.TotalEdgesProcessed(), kEdges);
-  EXPECT_EQ(dist.metrics.WorkersQuarantined(), 0u);
+  EXPECT_EQ(dist.metrics.Total(&WorkerCounters::edges_processed), kEdges);
+  EXPECT_EQ(dist.metrics.Total(&DistWorkerRow::quarantined), 0u);
 }
 
 TEST_F(DistDifferential, ExhaustedReadRetriesTruncateSegmentsWithoutQuarantine) {
@@ -246,9 +247,9 @@ TEST_F(DistDifferential, ExhaustedReadRetriesTruncateSegmentsWithoutQuarantine) 
     truncated += w.counters.truncated_segments;
   }
   EXPECT_EQ(truncated, 8u);
-  EXPECT_EQ(dist.metrics.TotalStreamRetries(), 8u * 2u);
-  EXPECT_EQ(dist.metrics.TotalEdgesProcessed(), 0u);
-  EXPECT_EQ(dist.metrics.WorkersQuarantined(), 0u);
+  EXPECT_EQ(dist.metrics.Total(&WorkerCounters::stream_retries), 8u * 2u);
+  EXPECT_EQ(dist.metrics.Total(&WorkerCounters::edges_processed), 0u);
+  EXPECT_EQ(dist.metrics.Total(&DistWorkerRow::quarantined), 0u);
   EXPECT_EQ(dist.metrics.frames_received, 4u);
 }
 
@@ -276,8 +277,10 @@ TEST_F(DistDifferential, SeededFaultSweep) {
     ScopedWorkerHarness::Result dist = harness.RunDist(opt);
     EXPECT_EQ(dist.state_blob, inline_ref.state_blob)
         << "trial=" << t << " plan=" << plan.ToSpec();
-    EXPECT_EQ(dist.metrics.TotalRespawns(), 1u) << "trial=" << t;
-    EXPECT_EQ(dist.metrics.WorkersQuarantined(), 0u) << "trial=" << t;
+    EXPECT_EQ(dist.metrics.Total(&DistWorkerRow::respawns), 1u)
+        << "trial=" << t;
+    EXPECT_EQ(dist.metrics.Total(&DistWorkerRow::quarantined), 0u)
+        << "trial=" << t;
   }
 }
 
@@ -323,6 +326,138 @@ TEST(DistReductionTree, SkipsQuarantinedSlotsAndHandlesAllNull) {
 
   std::vector<std::unique_ptr<CoverageSketchState>> empty(3);
   EXPECT_EQ(TreeMerge(&empty, 2, nullptr), SIZE_MAX);
+}
+
+
+// Pins the "dist" section and its gauges byte for byte: every counter of
+// both worker rows holds a distinct value.
+TEST(DistMetrics, GoldenJsonAndGauges) {
+  DistMetrics d;
+  d.num_workers = 2;
+  d.merge_arity = 3;
+  d.num_segments = 4;
+  d.frames_received = 5;
+  d.wall_ns = 6;
+  d.transport = "tcp";
+  d.poll_wakeups = 7;
+  d.connections_accepted = 8;
+  d.socket_drops = 9;
+  d.tree.depth = 10;
+  d.tree.merges = 11;
+  d.tree.merge_ns = 12;
+  d.workers.resize(2);
+  for (uint32_t w = 0; w < 2; ++w) {
+    DistWorkerRow& r = d.workers[w];
+    r.worker = w;
+    uint64_t v = 100 * (w + 1);
+    WorkerCounters& c = r.counters;
+    for (uint64_t* f :
+         {&c.edges_ingested, &c.edges_processed, &c.edges_discarded,
+          &c.batches, &c.stream_retries, &c.truncated_segments,
+          &c.segments_done, &c.checkpoints_written, &c.checkpoints_loaded,
+          &c.checkpoints_rejected, &c.connect_retries}) {
+      *f = ++v;
+    }
+    r.segments_assigned = static_cast<uint32_t>(++v);
+    r.bytes_shipped = ++v;
+    r.respawns = static_cast<uint32_t>(++v);
+    r.crc_rejections = static_cast<uint32_t>(++v);
+    r.quarantined = w == 1;
+    r.fingerprint_corrupted = w == 0;
+  }
+  EXPECT_EQ(d.ToJson(),
+      "{\n"
+      "    \"num_workers\": 2,\n"
+      "    \"merge_arity\": 3,\n"
+      "    \"num_segments\": 4,\n"
+      "    \"transport\": \"tcp\",\n"
+      "    \"poll_wakeups\": 7,\n"
+      "    \"connections_accepted\": 8,\n"
+      "    \"socket_drops\": 9,\n"
+      "    \"edges_ingested\": 302,\n"
+      "    \"edges_processed\": 304,\n"
+      "    \"edges_discarded\": 306,\n"
+      "    \"stream_retries\": 310,\n"
+      "    \"bytes_shipped\": 326,\n"
+      "    \"frames_received\": 5,\n"
+      "    \"crc_rejections\": 330,\n"
+      "    \"fingerprint_corruptions_detected\": 1,\n"
+      "    \"workers_respawned\": 328,\n"
+      "    \"workers_quarantined\": 1,\n"
+      "    \"checkpoints_written\": 316,\n"
+      "    \"checkpoints_loaded\": 318,\n"
+      "    \"checkpoints_rejected\": 320,\n"
+      "    \"connect_retries\": 322,\n"
+      "    \"merge_depth\": 10,\n"
+      "    \"merges\": 11,\n"
+      "    \"merge_ns\": 12,\n"
+      "    \"wall_ns\": 6,\n"
+      "    \"edges_per_second\": 50666666667,\n"
+      "    \"workers\": [\n"
+      "      {\"worker\": 0, \"edges_ingested\": 101, "
+      "\"edges_processed\": 102, \"edges_discarded\": 103, \"batches\": 104, "
+      "\"stream_retries\": 105, \"truncated_segments\": 106, "
+      "\"segments_assigned\": 112, \"segments_done\": 107, "
+      "\"checkpoints_written\": 108, \"checkpoints_loaded\": 109, "
+      "\"checkpoints_rejected\": 110, \"connect_retries\": 111, "
+      "\"bytes_shipped\": 113, \"respawns\": 114, \"crc_rejections\": 115, "
+      "\"quarantined\": 0, \"fingerprint_corrupted\": 1},\n"
+      "      {\"worker\": 1, \"edges_ingested\": 201, "
+      "\"edges_processed\": 202, \"edges_discarded\": 203, \"batches\": 204, "
+      "\"stream_retries\": 205, \"truncated_segments\": 206, "
+      "\"segments_assigned\": 212, \"segments_done\": 207, "
+      "\"checkpoints_written\": 208, \"checkpoints_loaded\": 209, "
+      "\"checkpoints_rejected\": 210, \"connect_retries\": 211, "
+      "\"bytes_shipped\": 213, \"respawns\": 214, \"crc_rejections\": 215, "
+      "\"quarantined\": 1, \"fingerprint_corrupted\": 0}\n"
+      "    ]\n"
+      "  }");
+
+  MetricsRegistry reg;
+  d.PublishTo(&reg);
+  std::vector<std::pair<std::string, uint64_t>> gauges;
+  for (const MetricSample& s : reg.Snapshot()) {
+    EXPECT_EQ(s.kind, MetricKind::kGauge) << s.name;
+    gauges.emplace_back(s.name, s.value);
+  }
+  const std::vector<std::pair<std::string, uint64_t>> want = {
+      {"dist_bytes_shipped_total", 326},
+      {"dist_checkpoints_loaded_total", 318},
+      {"dist_checkpoints_rejected_total", 320},
+      {"dist_checkpoints_written_total", 316},
+      {"dist_connect_retries_total", 322},
+      {"dist_connections_accepted_total", 8},
+      {"dist_crc_rejections_total", 330},
+      {"dist_edges_discarded_total", 306},
+      {"dist_edges_ingested_total", 302},
+      {"dist_edges_processed_total", 304},
+      {"dist_fingerprint_corruptions_detected", 1},
+      {"dist_frames_received_total", 5},
+      {"dist_merge_arity", 3},
+      {"dist_merge_depth", 10},
+      {"dist_merge_ns", 12},
+      {"dist_merges_total", 11},
+      {"dist_num_segments", 4},
+      {"dist_num_workers", 2},
+      {"dist_poll_wakeups_total", 7},
+      {"dist_socket_drops_total", 9},
+      {"dist_stream_retries_total", 310},
+      {"dist_wall_ns", 6},
+      {"dist_worker_bytes_shipped_total{worker=\"0\"}", 113},
+      {"dist_worker_bytes_shipped_total{worker=\"1\"}", 213},
+      {"dist_worker_checkpoints_written_total{worker=\"0\"}", 108},
+      {"dist_worker_checkpoints_written_total{worker=\"1\"}", 208},
+      {"dist_worker_edges_total{worker=\"0\"}", 102},
+      {"dist_worker_edges_total{worker=\"1\"}", 202},
+      {"dist_worker_quarantined{worker=\"0\"}", 0},
+      {"dist_worker_quarantined{worker=\"1\"}", 1},
+      {"dist_worker_respawns_total{worker=\"0\"}", 114},
+      {"dist_worker_respawns_total{worker=\"1\"}", 214},
+      {"dist_workers_quarantined", 1},
+      {"dist_workers_respawned_total", 328},
+
+  };
+  EXPECT_EQ(gauges, want);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Transport-layer lockdown (src/dist/transport.h): the hello codec, the
-// poll-timeout policy, frame reassembly under adversarial delivery splits
-// over both fd flavors the transports use (pipes and sockets), the
+// Transport-layer lockdown (src/dist/transport.h): the hello codec, frame
+// reassembly under adversarial delivery splits over both fd flavors the
+// transports use (pipes and sockets), the
 // pipe-vs-tcp differential (clean and under the fault matrix), the
 // socket-drop redial path, and the SIGPIPE regression — a worker shipping
 // into a dead coordinator must exit kWorkerPermanentErrorExit, not die by
@@ -53,17 +53,6 @@ TEST(TransportHelloTest, RoundTripsAndRejectsBadMagic) {
   EXPECT_EQ(generation, UINT32_MAX);
   buf[0] ^= 0x01;  // magic LSB
   EXPECT_FALSE(DecodeHello(buf, &worker, &generation));
-}
-
-TEST(PollTimeoutTest, AutoIsInfiniteUnlessDeadlinePending) {
-  // The satellite fix: with every worker exit observable through the poll
-  // set, an idle tree must take ZERO wakeups — auto resolves to infinite.
-  EXPECT_EQ(ResolvePollTimeoutMs(0, /*deadline_pending=*/false), -1);
-  EXPECT_EQ(ResolvePollTimeoutMs(0, /*deadline_pending=*/true), 1000);
-  EXPECT_EQ(ResolvePollTimeoutMs(-1, false), -1);
-  EXPECT_EQ(ResolvePollTimeoutMs(-1, true), -1);   // explicit beats pending
-  EXPECT_EQ(ResolvePollTimeoutMs(250, false), 250);
-  EXPECT_EQ(ResolvePollTimeoutMs(250, true), 250);
 }
 
 // ---- Frame reassembly under adversarial delivery splits -----------------
@@ -275,9 +264,9 @@ TEST(TcpTransportDifferential, MatchesPipeAndInlineByteForByte) {
   EXPECT_EQ(tcp.metrics.transport, "tcp");
   EXPECT_EQ(tcp.metrics.connections_accepted, 4u);
   EXPECT_EQ(tcp.metrics.socket_drops, 0u);
-  EXPECT_EQ(tcp.metrics.TotalConnectRetries(), 0u);
+  EXPECT_EQ(tcp.metrics.Total(&WorkerCounters::connect_retries), 0u);
   EXPECT_EQ(tcp.metrics.frames_received, 4u);
-  EXPECT_EQ(tcp.metrics.TotalEdgesProcessed(), kEdges);
+  EXPECT_EQ(tcp.metrics.Total(&WorkerCounters::edges_processed), kEdges);
 }
 
 TEST(TcpTransportDifferential, FaultMatrixMatchesPipeVerdictForVerdict) {
@@ -300,13 +289,14 @@ TEST(TcpTransportDifferential, FaultMatrixMatchesPipeVerdictForVerdict) {
     ScopedWorkerHarness::Result tcp = harness.RunDist(tcp_opt);
 
     EXPECT_EQ(tcp.state_blob, pipe.state_blob) << spec;
-    EXPECT_EQ(tcp.metrics.TotalRespawns(), pipe.metrics.TotalRespawns())
+    EXPECT_EQ(tcp.metrics.Total(&DistWorkerRow::respawns),
+              pipe.metrics.Total(&DistWorkerRow::respawns))
         << spec;
-    EXPECT_EQ(tcp.metrics.WorkersQuarantined(),
-              pipe.metrics.WorkersQuarantined())
+    EXPECT_EQ(tcp.metrics.Total(&DistWorkerRow::quarantined),
+              pipe.metrics.Total(&DistWorkerRow::quarantined))
         << spec;
-    EXPECT_EQ(tcp.metrics.TotalCrcRejections(),
-              pipe.metrics.TotalCrcRejections())
+    EXPECT_EQ(tcp.metrics.Total(&DistWorkerRow::crc_rejections),
+              pipe.metrics.Total(&DistWorkerRow::crc_rejections))
         << spec;
     for (uint32_t w = 0; w < 4; ++w) {
       EXPECT_EQ(tcp.metrics.workers[w].quarantined,
@@ -335,9 +325,9 @@ TEST(TcpTransportDifferential, SocketDropRedialsAndConvergesIdentically) {
   // to worker 1, and nobody is respawned or quarantined.
   EXPECT_EQ(dropped.metrics.connections_accepted, 4u);
   EXPECT_EQ(dropped.metrics.workers[1].counters.connect_retries, 1u);
-  EXPECT_EQ(dropped.metrics.TotalConnectRetries(), 1u);
-  EXPECT_EQ(dropped.metrics.TotalRespawns(), 0u);
-  EXPECT_EQ(dropped.metrics.WorkersQuarantined(), 0u);
+  EXPECT_EQ(dropped.metrics.Total(&WorkerCounters::connect_retries), 1u);
+  EXPECT_EQ(dropped.metrics.Total(&DistWorkerRow::respawns), 0u);
+  EXPECT_EQ(dropped.metrics.Total(&DistWorkerRow::quarantined), 0u);
   EXPECT_EQ(registry
                 .GetCounter(LabeledName("faults_injected_total", "kind",
                                         FaultInjector::kFaultSocketDrop))
@@ -359,16 +349,15 @@ TEST(TcpTransportDifferential, SocketDropWithZeroBudgetQuarantinesCleanly) {
   const DistWorkerRow& w2 = dist.metrics.workers[2];
   EXPECT_TRUE(w2.quarantined);
   EXPECT_EQ(w2.respawns, 0u);  // permanent error, not a crash
-  EXPECT_EQ(dist.metrics.WorkersQuarantined(), 1u);
+  EXPECT_EQ(dist.metrics.Total(&DistWorkerRow::quarantined), 1u);
   EXPECT_EQ(dist.metrics.frames_received, 3u);
   EXPECT_EQ(dist.metrics.socket_drops, 1u);
 }
 
-TEST(TcpTransportDifferential, ExplicitListenAddressAndPollTimeoutWork) {
+TEST(TcpTransportDifferential, ExplicitListenAddressWorks) {
   ScopedWorkerHarness harness(SyntheticEdges(kEdges, /*seed=*/55), kSegments);
   DistOptions opt = TcpOptions(2);
   opt.transport.listen_addr = "127.0.0.1:0";  // ephemeral, loopback
-  opt.poll_timeout_ms = 50;                   // finite timeout still drains
   ScopedWorkerHarness::Result tcp = harness.RunDist(opt);
   EXPECT_EQ(tcp.state_blob, harness.RunInline().state_blob);
   EXPECT_GE(tcp.metrics.poll_wakeups, 1u);

@@ -360,5 +360,131 @@ TEST(RuntimeMetrics, JsonSnapshotCarriesTheCounters) {
   EXPECT_EQ(pipe.metrics().num_shards(), 3u);
 }
 
+// Pins the rendering byte for byte: every counter holds a distinct value,
+// so a dropped, swapped or reformatted field shows up as a diff in either
+// the JSON snapshot or the registry gauges.
+TEST(RuntimeMetrics, GoldenJsonAndGauges) {
+  RuntimeMetrics m;
+  m.Reset(2, 2);
+  uint64_t v = 100;
+  for (auto* c : {&m.edges_ingested, &m.batches_enqueued, &m.queue_full_stalls,
+                  &m.stream_retries, &m.worker_deaths,
+                  &m.merge_corruptions_detected, &m.shards_quarantined,
+                  &m.merges, &m.merge_ns, &m.merged_state_bytes, &m.wall_ns}) {
+    c->store(++v);
+  }
+  for (uint32_t s = 0; s < 2; ++s) {
+    RuntimeMetrics::PerShard& r = m.shard(s);
+    v = 200 + 10 * s;
+    for (auto* c : {&r.edges, &r.batches, &r.busy_ns, &r.state_bytes,
+                    &r.ring_stalls, &r.ring_stall_rounds, &r.ring_stalled_ns,
+                    &r.edges_discarded, &r.quarantined}) {
+      c->store(++v);
+    }
+  }
+  for (uint32_t p = 0; p < 2; ++p) {
+    RuntimeMetrics::PerProducer& r = m.producer(p);
+    v = 300 + 10 * p;
+    for (auto* c :
+         {&r.edges, &r.batches, &r.stream_retries, &r.batches_recycled}) {
+      c->store(++v);
+    }
+  }
+  EXPECT_EQ(m.ToJson(),
+      "{\n"
+      "  \"edges_ingested\": 101,\n"
+      "  \"batches_enqueued\": 102,\n"
+      "  \"queue_full_stalls\": 103,\n"
+      "  \"ring_stall_rounds\": 422,\n"
+      "  \"ring_stalled_ns\": 424,\n"
+      "  \"stream_retries\": 104,\n"
+      "  \"worker_deaths\": 105,\n"
+      "  \"merge_corruptions_detected\": 106,\n"
+      "  \"shards_quarantined\": 107,\n"
+      "  \"quarantined_fraction\": 53.5000,\n"
+      "  \"edges_discarded\": 426,\n"
+      "  \"merges\": 108,\n"
+      "  \"merge_ns\": 109,\n"
+      "  \"merged_state_bytes\": 110,\n"
+      "  \"total_shard_state_bytes\": 418,\n"
+      "  \"wall_ns\": 111,\n"
+      "  \"edges_per_second\": 909909910,\n"
+      "  \"num_producers\": 2,\n"
+      "  \"batches_recycled\": 618,\n"
+      "  \"shards\": [\n"
+      "    {\"shard\": 0, \"edges\": 201, \"batches\": 202, \"busy_ns\": 203, "
+      "\"state_bytes\": 204, \"ring_stalls\": 205, "
+      "\"ring_stall_rounds\": 206, \"ring_stalled_ns\": 207, "
+      "\"edges_discarded\": 208, \"quarantined\": 209},\n"
+      "    {\"shard\": 1, \"edges\": 211, \"batches\": 212, \"busy_ns\": 213, "
+      "\"state_bytes\": 214, \"ring_stalls\": 215, "
+      "\"ring_stall_rounds\": 216, \"ring_stalled_ns\": 217, "
+      "\"edges_discarded\": 218, \"quarantined\": 219}\n"
+      "  ],\n"
+      "  \"producers\": [\n"
+      "    {\"producer\": 0, \"edges\": 301, \"batches\": 302, "
+      "\"stream_retries\": 303, \"batches_recycled\": 304},\n"
+      "    {\"producer\": 1, \"edges\": 311, \"batches\": 312, "
+      "\"stream_retries\": 313, \"batches_recycled\": 314}\n"
+      "  ]\n"
+      "}");
+
+  MetricsRegistry reg;
+  m.PublishTo(&reg);
+  std::vector<std::pair<std::string, uint64_t>> gauges;
+  for (const MetricSample& s : reg.Snapshot()) {
+    EXPECT_EQ(s.kind, MetricKind::kGauge) << s.name;
+    gauges.emplace_back(s.name, s.value);
+  }
+  const std::vector<std::pair<std::string, uint64_t>> want = {
+      {"retries_total", 104},
+      {"runtime_batches_enqueued", 102},
+      {"runtime_batches_recycled", 618},
+      {"runtime_edges_discarded", 426},
+      {"runtime_edges_ingested", 101},
+      {"runtime_merge_corruptions_detected", 106},
+      {"runtime_merge_ns", 109},
+      {"runtime_merged_state_bytes", 110},
+      {"runtime_merges", 108},
+      {"runtime_num_producers", 2},
+      {"runtime_num_shards", 2},
+      {"runtime_producer_batches_recycled{producer=\"0\"}", 304},
+      {"runtime_producer_batches_recycled{producer=\"1\"}", 314},
+      {"runtime_producer_batches{producer=\"0\"}", 302},
+      {"runtime_producer_batches{producer=\"1\"}", 312},
+      {"runtime_producer_edges{producer=\"0\"}", 301},
+      {"runtime_producer_edges{producer=\"1\"}", 311},
+      {"runtime_producer_stream_retries{producer=\"0\"}", 303},
+      {"runtime_producer_stream_retries{producer=\"1\"}", 313},
+      {"runtime_queue_full_stalls", 103},
+      {"runtime_ring_stall_rounds", 422},
+      {"runtime_ring_stalled_ns", 424},
+      {"runtime_shard_batches{shard=\"0\"}", 202},
+      {"runtime_shard_batches{shard=\"1\"}", 212},
+      {"runtime_shard_busy_ns{shard=\"0\"}", 203},
+      {"runtime_shard_busy_ns{shard=\"1\"}", 213},
+      {"runtime_shard_edges_discarded{shard=\"0\"}", 208},
+      {"runtime_shard_edges_discarded{shard=\"1\"}", 218},
+      {"runtime_shard_edges{shard=\"0\"}", 201},
+      {"runtime_shard_edges{shard=\"1\"}", 211},
+      {"runtime_shard_quarantined{shard=\"0\"}", 209},
+      {"runtime_shard_quarantined{shard=\"1\"}", 219},
+      {"runtime_shard_ring_stall_rounds{shard=\"0\"}", 206},
+      {"runtime_shard_ring_stall_rounds{shard=\"1\"}", 216},
+      {"runtime_shard_ring_stalled_ns{shard=\"0\"}", 207},
+      {"runtime_shard_ring_stalled_ns{shard=\"1\"}", 217},
+      {"runtime_shard_ring_stalls{shard=\"0\"}", 205},
+      {"runtime_shard_ring_stalls{shard=\"1\"}", 215},
+      {"runtime_shard_state_bytes{shard=\"0\"}", 204},
+      {"runtime_shard_state_bytes{shard=\"1\"}", 214},
+      {"runtime_total_shard_state_bytes", 418},
+      {"runtime_wall_ns", 111},
+      {"runtime_worker_deaths", 105},
+      {"shards_quarantined", 107},
+
+  };
+  EXPECT_EQ(gauges, want);
+}
+
 }  // namespace
 }  // namespace streamkc

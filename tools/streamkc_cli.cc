@@ -86,6 +86,7 @@
 #include "fault/fault_plan.h"
 #include "fault/faulty_stream.h"
 #include "hash/kernel_dispatch.h"
+#include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/space_accountant.h"
 #include "runtime/metrics_export.h"
@@ -136,13 +137,11 @@ struct Args {
   std::string transport = "pipe";  // pipe | tcp (frame transport)
   std::string listen_addr;         // tcp: coordinator bind address
   std::string connect_addr;        // tcp: address workers dial
-  int64_t poll_timeout_ms = 0;     // 0 = auto (infinite), -1 = infinite
   bool workers_set = false;
   bool merge_arity_set = false;
   bool checkpoint_every_set = false;
   bool segments_set = false;
   bool transport_set = false;
-  bool poll_timeout_set = false;
 };
 
 [[noreturn]] void Usage(const char* msg) {
@@ -181,10 +180,9 @@ struct Args {
                " [--batch-size B] [--lenient]\n"
                "           [--transport pipe|tcp] [--listen HOST:PORT]"
                " [--connect HOST:PORT]\n"
-               "           [--poll-timeout-ms MS]"
-               "   (MS=0 auto, -1 infinite; tcp: workers dial the\n"
-               "            coordinator and ship frames over loopback"
-               " sockets instead of pipes)\n"
+               "           (tcp: workers dial the coordinator and ship frames"
+               " over loopback\n"
+               "            sockets instead of pipes)\n"
                "           [--metrics-out FILE|-]"
                " [--metrics-format json|prometheus]\n"
                "           [--fault-plan SPEC] [--fault-strict]"
@@ -208,13 +206,6 @@ uint32_t ParseU32(const char* s) {
   uint64_t v = ParseU64(s);
   if (v > UINT32_MAX) Usage("integer argument above 4294967295");
   return static_cast<uint32_t>(v);
-}
-
-int64_t ParseI64(const char* s) {
-  char* end = nullptr;
-  int64_t v = std::strtoll(s, &end, 10);
-  if (end == s || *end != '\0') Usage("bad integer argument");
-  return v;
 }
 
 Args Parse(int argc, char** argv) {
@@ -310,13 +301,6 @@ Args Parse(int argc, char** argv) {
       a.listen_addr = next();
     } else if (flag == "--connect") {
       a.connect_addr = next();
-    } else if (flag == "--poll-timeout-ms") {
-      a.poll_timeout_ms = ParseI64(next());
-      a.poll_timeout_set = true;
-      if (a.poll_timeout_ms < -1 || a.poll_timeout_ms > INT32_MAX) {
-        Usage("--poll-timeout-ms must be -1 (infinite), 0 (auto), or a "
-              "positive millisecond count");
-      }
     } else if (flag == "--lenient") {
       a.lenient = true;
     } else if (flag == "--fault-plan") {
@@ -381,9 +365,6 @@ void ValidateFlags(const Args& a) {
         a.transport != "tcp") {
       Usage("--listen/--connect need --transport tcp");
     }
-    if (a.poll_timeout_set && a.workers == 0) {
-      Usage("--poll-timeout-ms needs --workers >= 1");
-    }
   } else {
     if (a.workers_set) Usage("--workers only applies to the sketch command");
     if (a.merge_arity_set) {
@@ -393,10 +374,8 @@ void ValidateFlags(const Args& a) {
       Usage("--checkpoint-every/--checkpoint-dir only apply to sketch");
     }
     if (a.segments_set) Usage("--segments only applies to the sketch command");
-    if (a.transport_set || !a.listen_addr.empty() || !a.connect_addr.empty() ||
-        a.poll_timeout_set) {
-      Usage("--transport/--listen/--connect/--poll-timeout-ms only apply to "
-            "the sketch command");
+    if (a.transport_set || !a.listen_addr.empty() || !a.connect_addr.empty()) {
+      Usage("--transport/--listen/--connect only apply to the sketch command");
     }
   }
   if (a.metrics_format_set && a.metrics_out.empty()) {
@@ -523,22 +502,16 @@ void WriteDump(const std::string& content, const std::string& path) {
 }
 
 // Renders the selected --metrics-format and writes it to --metrics-out.
-// `runtime` is nullptr for in-line (threads == 0) passes; `extra_json`,
-// when non-empty, becomes the dump's `extra_name` section ("serving" for
-// serve mode, "dist" for multi-process sketch runs).
+// `runtime` is nullptr for in-line (threads == 0) passes; `extra` is the
+// mode's own section ("serving" for serve mode, "dist" for multi-process
+// sketch runs).
 void DumpMetrics(const Args& a, const RuntimeMetrics* runtime,
                  const SpaceAccountant* space,
-                 const std::string& extra_name = std::string(),
-                 const std::string& extra_json = std::string()) {
+                 const MetricsSection& extra = MetricsSection()) {
   if (a.metrics_out.empty()) return;
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  std::string content =
-      a.metrics_format == "prometheus"
-          ? ComposeMetricsPrometheus(runtime, reg)
-          : ComposeMetricsJson(runtime, space, reg,
-                               extra_json.empty() ? "" : extra_name.c_str(),
-                               extra_json);
-  WriteDump(content, a.metrics_out);
+  WriteDump(ComposeMetrics(a.metrics_format == "prometheus", runtime, space,
+                           extra, MetricsRegistry::Global()),
+            a.metrics_out);
 }
 
 // Drains a text stream edge by edge into `process` through the shared
@@ -873,19 +846,21 @@ int CmdServe(const Args& a) {
                 sum.shard_runs_quarantined, sum.quarantined_fraction * 100.0);
   }
 
-  char serving_json[512];
-  std::snprintf(
-      serving_json, sizeof(serving_json),
-      "{\"store\": \"%s\", \"epoch\": %llu, \"snapshots_published\": %llu, "
-      "\"segments\": %llu, \"edges_ingested\": %llu, "
-      "\"quarantined_fraction\": %.6f, \"queries_served\": %llu, "
-      "\"queries_rejected\": %llu, \"query_threads\": %llu}",
-      store.name().c_str(), (unsigned long long)store.epoch(),
-      (unsigned long long)sum.snapshots_published,
-      (unsigned long long)sum.segments, (unsigned long long)sum.edges,
-      sum.quarantined_fraction, (unsigned long long)total_served,
-      (unsigned long long)total_rejected, (unsigned long long)a.query_threads);
-  DumpMetrics(a, nullptr, nullptr, "serving", serving_json);
+  DumpMetrics(a, nullptr, nullptr,
+              {"serving",
+               JsonWriter()
+                   .Add("store", store.name())
+                   .Add("epoch", store.epoch())
+                   .Add("snapshots_published", sum.snapshots_published)
+                   .Add("segments", sum.segments)
+                   .Add("edges_ingested", sum.edges)
+                   .Add("quarantined_fraction",
+                        LedgerValue::Fixed(sum.quarantined_fraction, 6))
+                   .Add("queries_served", total_served)
+                   .Add("queries_rejected", total_rejected)
+                   .Add("query_threads", a.query_threads)
+                   .Close(),
+               {}});
   return final_ans.ok ? 0 : 1;
 }
 
@@ -935,7 +910,6 @@ int CmdSketch(const Args& a) {
   CHECK(ParseTransportKind(a.transport, &opt.transport.kind));
   if (!a.listen_addr.empty()) opt.transport.listen_addr = a.listen_addr;
   opt.transport.connect_addr = a.connect_addr;
-  opt.poll_timeout_ms = static_cast<int>(a.poll_timeout_ms);
   const FaultSetup faults = SetupFaults(a, nullptr, /*wrap_stream=*/false);
   opt.fault_injector = faults.injector.get();
 
@@ -949,31 +923,37 @@ int CmdSketch(const Args& a) {
               "(arity-%u merge tree, depth %u), %.2fM edges/s\n",
               dm.num_workers, dm.num_segments, dm.merge_arity, dm.tree.depth,
               dm.EdgesPerSecond() / 1e6);
+  using C = WorkerCounters;
+  using W = DistWorkerRow;
   std::printf("dist               : %llu edges across %llu frames, "
               "%llu bytes shipped in %.2fs\n",
-              (unsigned long long)dm.TotalEdgesProcessed(),
+              (unsigned long long)dm.Total(&C::edges_processed),
               (unsigned long long)dm.frames_received,
-              (unsigned long long)dm.TotalBytesShipped(), sw.ElapsedSeconds());
+              (unsigned long long)dm.Total(&W::bytes_shipped),
+              sw.ElapsedSeconds());
   std::printf("transport          : %s (%llu connections, %llu dial "
               "retries, %llu poll wakeups)\n",
               dm.transport.c_str(),
               (unsigned long long)dm.connections_accepted,
-              (unsigned long long)dm.TotalConnectRetries(),
+              (unsigned long long)dm.Total(&C::connect_retries),
               (unsigned long long)dm.poll_wakeups);
   if (opt.checkpoint_every > 0) {
     std::printf("checkpoints        : %llu written, %llu loaded "
                 "(every %u segments in %s)\n",
-                (unsigned long long)dm.TotalCheckpointsWritten(),
-                (unsigned long long)dm.TotalCheckpointsLoaded(),
+                (unsigned long long)dm.Total(&C::checkpoints_written),
+                (unsigned long long)dm.Total(&C::checkpoints_loaded),
                 opt.checkpoint_every, opt.checkpoint_dir.c_str());
   }
-  if (faults.injector != nullptr || dm.TotalRespawns() > 0 ||
-      dm.WorkersQuarantined() > 0) {
-    std::printf("recovery           : %u respawns, %u crc rejections, "
-                "%u fingerprint corruptions, %u/%u workers quarantined\n",
-                dm.TotalRespawns(), dm.TotalCrcRejections(),
-                dm.FingerprintCorruptions(), dm.WorkersQuarantined(),
-                dm.num_workers);
+  const uint64_t respawns = dm.Total(&W::respawns);
+  const uint64_t quarantined = dm.Total(&W::quarantined);
+  if (faults.injector != nullptr || respawns > 0 || quarantined > 0) {
+    std::printf("recovery           : %llu respawns, %llu crc rejections, "
+                "%llu fingerprint corruptions, %llu/%u workers "
+                "quarantined\n",
+                (unsigned long long)respawns,
+                (unsigned long long)dm.Total(&W::crc_rejections),
+                (unsigned long long)dm.Total(&W::fingerprint_corrupted),
+                (unsigned long long)quarantined, dm.num_workers);
   }
   std::printf("distinct covered   : %.0f (L0), %.0f (HLL)\n",
               state.covered_l0.Estimate(), state.covered_hll.Estimate());
@@ -981,8 +961,9 @@ int CmdSketch(const Args& a) {
   std::printf("merge fingerprint  : %016llx\n",
               (unsigned long long)state.MergeFingerprint());
   std::printf("sketch memory      : %zu KiB\n", state.MemoryBytes() >> 10);
-  dm.PublishTo(&MetricsRegistry::Global());
-  DumpMetrics(a, nullptr, nullptr, "dist", dm.ToJson());
+  DumpMetrics(a, nullptr, nullptr,
+              {"dist", dm.ToJson(),
+               [&dm](MetricsRegistry* reg) { dm.PublishTo(reg); }});
   return 0;
 }
 

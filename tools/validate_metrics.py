@@ -108,6 +108,20 @@ def check_invariants(dump, errors):
                     f"$: quarantined_fraction {dump['quarantined_fraction']} "
                     f"inconsistent with shards_quarantined/num_shards "
                     f"{expect:.4f}")
+        # The dump publishes the runtime section into the registry before
+        # rendering either format, so the JSON registry must carry the same
+        # mirror gauges as the Prometheus twin. Unlike the dist check below,
+        # a missing gauge is an error, not a pass.
+        reg = dump.get("registry", {})
+        for gauge, key in (("runtime_edges_ingested", "edges_ingested"),
+                           ("retries_total", "stream_retries"),
+                           ("shards_quarantined", "shards_quarantined")):
+            if gauge not in reg:
+                errors.append(f"$.registry: runtime mirror '{gauge}' missing")
+            elif reg[gauge] != dump.get(key):
+                errors.append(
+                    f"$.registry.{gauge}: {reg[gauge]} != runtime section "
+                    f"{key} {dump.get(key)}")
 
     producers = dump.get("producers")
     if producers is not None:
